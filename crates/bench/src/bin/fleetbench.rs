@@ -27,13 +27,12 @@
 //! stay comparable; CLI flags are accepted for uniformity but do not
 //! affect the gates.
 
-use std::path::Path;
 use std::time::Instant;
 
 use hemem_baselines::BackendKind;
 use hemem_bench::{
-    assert_silent_audit, assert_tenant_drained, f3, fingerprint, record_wallclock, write_results,
-    ExpArgs, Report,
+    assert_silent_audit, assert_tenant_drained, compare_baseline, f3, fingerprint,
+    record_wallclock, write_results, ExpArgs, Report,
 };
 use hemem_core::arbiter::ArbiterPolicy;
 use hemem_core::hemem::{HeMem, HeMemConfig};
@@ -137,22 +136,12 @@ fn gate_off_identity() {
         !fp.contains("|fleet:"),
         "gate (c) failed: solo run grew a fleet fingerprint segment"
     );
-    let path = Path::new("results").join("tierbench_2tier_baseline.txt");
-    match std::fs::read_to_string(&path) {
-        Ok(baseline) => {
-            assert_eq!(
-                baseline,
-                fp,
-                "gate (c) failed: solo 2-tier fingerprint drifted from committed {}",
-                path.display()
-            );
-            println!(
-                "gate (c): solo 2-tier run byte-identical to {}",
-                path.display()
-            );
-        }
-        Err(_) => println!("gate (c): no committed 2-tier baseline; skipping compare"),
-    }
+    compare_baseline(
+        "gate (c)",
+        "tierbench_2tier_baseline.txt",
+        &fp,
+        "solo 2-tier fingerprint",
+    );
 }
 
 fn main() {

@@ -26,11 +26,10 @@
 //! capacity tax (NVM frames parked as shadows) against the migration
 //! bandwidth saved, per write intensity.
 
-use std::path::Path;
-
 use hemem_baselines::{AnyBackend, BackendKind};
 use hemem_bench::{
-    assert_silent_audit, f3, fingerprint, record_wallclock, write_results, ExpArgs, Report,
+    assert_silent_audit, compare_baseline, f3, fingerprint, record_wallclock, write_results,
+    ExpArgs, Report,
 };
 use hemem_core::backend::AccessBatch;
 use hemem_core::machine::MachineConfig;
@@ -162,7 +161,12 @@ fn gate_shadows_off_identity() {
     let mut gups = Gups::setup(&mut sim, cfg);
     let _ = gups.run(&mut sim);
     let fp = format!("{}\n", fingerprint(&sim));
-    compare_baseline("tierbench_2tier_baseline.txt", &fp, "2-tier fingerprint");
+    compare_baseline(
+        "gate (b)",
+        "tierbench_2tier_baseline.txt",
+        &fp,
+        "shadows-off 2-tier fingerprint",
+    );
 
     let mc = args.machine();
     let backend = BackendKind::HeMem.build(&mc);
@@ -176,28 +180,10 @@ fn gate_shadows_off_identity() {
     }
     t.maybe_sample(&sim);
     compare_baseline(
+        "gate (b)",
         "tierbench_2tier_telemetry.csv",
         &t.csv(),
-        "2-tier telemetry",
-    );
-}
-
-/// Compares `contents` against the committed tierbench baseline —
-/// nomadbench never seeds these files; they must already exist (they are
-/// the *pre-PR* capture) and must match exactly.
-fn compare_baseline(filename: &str, contents: &str, what: &str) {
-    let path = Path::new("results").join(filename);
-    let baseline = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("gate (b) needs committed baseline {}: {e}", path.display()));
-    assert_eq!(
-        baseline,
-        contents,
-        "gate (b) failed: shadows-off {what} drifted from committed baseline {}",
-        path.display()
-    );
-    println!(
-        "gate (b): shadows-off {what} byte-identical to {}",
-        path.display()
+        "shadows-off 2-tier telemetry",
     );
 }
 

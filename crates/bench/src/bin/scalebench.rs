@@ -33,9 +33,7 @@
 //! and multi-grain policy-pass costs and the span/split/merge activity
 //! behind them.
 
-use std::path::Path;
-
-use hemem_bench::{f3, fingerprint, record_wallclock, ExpArgs, Report};
+use hemem_bench::{compare_baseline, f3, fingerprint, record_wallclock, ExpArgs, Report};
 use hemem_core::backend::AccessBatch;
 use hemem_core::hemem::{HeMem, HeMemConfig, RegionConfig, RegionStats};
 use hemem_core::machine::MachineConfig;
@@ -190,7 +188,12 @@ fn gate_regions_off_identity() {
     let mut gups = Gups::setup(&mut sim, cfg);
     let _ = gups.run(&mut sim);
     let fp = format!("{}\n", fingerprint(&sim));
-    compare_baseline("tierbench_2tier_baseline.txt", &fp, "2-tier fingerprint");
+    compare_baseline(
+        "gate (c)",
+        "tierbench_2tier_baseline.txt",
+        &fp,
+        "regions-off 2-tier fingerprint",
+    );
 
     let mc = args.machine();
     let backend = hemem_baselines::BackendKind::HeMem.build(&mc);
@@ -204,28 +207,10 @@ fn gate_regions_off_identity() {
     }
     t.maybe_sample(&sim);
     compare_baseline(
+        "gate (c)",
         "tierbench_2tier_telemetry.csv",
         &t.csv(),
-        "2-tier telemetry",
-    );
-}
-
-/// Compares `contents` against the committed tierbench baseline —
-/// scalebench never seeds these files; they are the pre-PR capture and
-/// must match exactly.
-fn compare_baseline(filename: &str, contents: &str, what: &str) {
-    let path = Path::new("results").join(filename);
-    let baseline = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("gate (c) needs committed baseline {}: {e}", path.display()));
-    assert_eq!(
-        baseline,
-        contents,
-        "gate (c) failed: regions-off {what} drifted from committed baseline {}",
-        path.display()
-    );
-    println!(
-        "gate (c): regions-off {what} byte-identical to {}",
-        path.display()
+        "regions-off 2-tier telemetry",
     );
 }
 

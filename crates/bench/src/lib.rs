@@ -58,8 +58,14 @@ impl Default for ExpArgs {
 impl ExpArgs {
     /// Parses `std::env::args()`; exits with usage text on error.
     pub fn parse() -> ExpArgs {
+        ExpArgs::parse_from(std::env::args().skip(1))
+    }
+
+    /// Parses `args` (without the program name); exits with usage text
+    /// on error. Binaries with flags of their own strip them first.
+    pub fn parse_from(args: impl IntoIterator<Item = String>) -> ExpArgs {
         let mut out = ExpArgs::default();
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--full" => out.scale = 1,
@@ -300,6 +306,24 @@ pub fn write_results(filename: &str, contents: &str, note: &str) {
         Ok(()) => eprintln!("({note} written to {})", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
+}
+
+/// Gate check against a committed baseline: `contents` must equal
+/// `results/<filename>` byte for byte. A missing baseline fails the gate
+/// like a drifted one: gates never seed their own baselines (tierbench's
+/// explicit `--reseed` rewrites them). `gate` labels the messages, e.g.
+/// `"gate (b)"`; `what` names the artifact.
+pub fn compare_baseline(gate: &str, filename: &str, contents: &str, what: &str) {
+    let path = Path::new("results").join(filename);
+    let baseline = fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{gate} needs committed baseline {}: {e}", path.display()));
+    assert_eq!(
+        baseline,
+        contents,
+        "{gate} failed: {what} drifted from committed baseline {}",
+        path.display()
+    );
+    println!("{gate}: {what} byte-identical to {}", path.display());
 }
 
 /// Records one benchmark's wall-clock cost into

@@ -29,15 +29,7 @@ use hemem_memdev::Pattern;
 use hemem_sim::Ns;
 use hemem_vmm::TenantId;
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
+use crate::hash::StreamHash;
 
 /// A scheduled quota shrink for one tenant.
 #[derive(Debug, Clone, Copy)]
@@ -215,8 +207,8 @@ pub fn run_churn(sim: &mut Sim<HeMem>, cfg: &ChurnConfig) -> ChurnResult {
     let mut arrived: Vec<Option<Arrived>> = (0..n).map(|_| None).collect();
     let mut admitted = vec![false; n];
     let mut ops = vec![0u64; n];
-    let mut stream = vec![FNV_OFFSET; n];
-    let mut fingerprint = FNV_OFFSET;
+    let mut stream = vec![StreamHash::new(); n];
+    let mut fingerprint = StreamHash::new();
     let mut round_ops = vec![0u64; total_threads as usize];
     let mut live_threads = 0u32;
 
@@ -285,9 +277,7 @@ pub fn run_churn(sim: &mut Sim<HeMem>, cfg: &ChurnConfig) -> ChurnResult {
                 let spec = &cfg.tenants[i];
                 let a = arrived[i].as_ref().expect("ready implies arrived");
                 let b = a.batch_for(spec, tid - bases[i]);
-                let repr = format!("{i}|{tid}|{b:?}");
-                fnv1a(&mut stream[i], repr.as_bytes());
-                fnv1a(&mut fingerprint, repr.as_bytes());
+                stream[i].record_pair(&mut fingerprint, format_args!("{i}|{tid}|{b:?}"));
                 sim.submit_batch(tid, &b);
                 round_ops[t] = spec.batch_ops;
             }
@@ -309,7 +299,7 @@ pub fn run_churn(sim: &mut Sim<HeMem>, cfg: &ChurnConfig) -> ChurnResult {
                 admitted: admitted[i],
                 survived: admitted[i] && sim.backend.tenant_is_live(t),
                 ops: ops[i],
-                stream_hash: stream[i],
+                stream_hash: stream[i].finish(),
                 major_faults: hist.map_or(0, |h| h.count()),
                 major_p99_ns: hist.map_or(0, |h| h.quantile(0.99)),
             }
@@ -317,7 +307,7 @@ pub fn run_churn(sim: &mut Sim<HeMem>, cfg: &ChurnConfig) -> ChurnResult {
         .collect();
     ChurnResult {
         per_tenant,
-        fingerprint,
+        fingerprint: fingerprint.finish(),
     }
 }
 
@@ -367,6 +357,20 @@ mod tests {
             tenants: vec![spec("anchor", Ns::ZERO, GIB), victim, ballooned],
             end: Ns::secs(4),
         }
+    }
+
+    /// Pinned across driver rewrites: captured from the driver that
+    /// formatted each `"{i}|{tid}|{batch:?}"` record into a `String`.
+    #[test]
+    fn churn_hashes_match_the_formatted_record_driver() {
+        let mut sim = churn_sim(3);
+        let r = run_churn(&mut sim, &plan());
+        assert_eq!(r.fingerprint, 0xd96f61b675a43e6b);
+        let streams: Vec<u64> = r.per_tenant.iter().map(|t| t.stream_hash).collect();
+        assert_eq!(
+            streams,
+            [0x39783ce99757abf1, 0x95c4e695d4183539, 0xa69c1fb6c5fb6f59]
+        );
     }
 
     #[test]

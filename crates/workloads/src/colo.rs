@@ -24,6 +24,7 @@ use hemem_vmm::TenantId;
 
 use crate::graph::{Bc, GraphConfig};
 use crate::gups::{Gups, GupsConfig};
+use crate::hash::StreamHash;
 use crate::kvs::{Kvs, KvsConfig};
 use crate::silo::{Silo, SiloConfig};
 
@@ -126,16 +127,6 @@ impl ColoResult {
     /// e.g. an all-GUPS mix).
     pub fn aggregate_ops(&self) -> u64 {
         self.per_tenant.iter().map(|t| t.ops).sum()
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(FNV_PRIME);
     }
 }
 
@@ -260,8 +251,8 @@ pub fn run_colo_with<B: TieredBackend>(
     let mut remaining = vec![0u32; total_threads as usize];
     let mut round_ops = vec![0u64; total_threads as usize];
     let mut ops = vec![0u64; n];
-    let mut stream = vec![FNV_OFFSET; n];
-    let mut fingerprint = FNV_OFFSET;
+    let mut stream = vec![StreamHash::new(); n];
+    let mut fingerprint = StreamHash::new();
     let mut live = total_threads;
     while live > 0 {
         let Some((step_now, ev)) = sim.step() else {
@@ -288,9 +279,7 @@ pub fn run_colo_with<B: TieredBackend>(
         let local = tid - bases[ten];
         let (batches, completes) = drivers[ten].round(local);
         for b in &batches {
-            let repr = format!("{ten}|{tid}|{b:?}");
-            fnv1a(&mut stream[ten], repr.as_bytes());
-            fnv1a(&mut fingerprint, repr.as_bytes());
+            stream[ten].record_pair(&mut fingerprint, format_args!("{ten}|{tid}|{b:?}"));
             sim.submit_batch(tid, b);
         }
         remaining[t] = batches.len() as u32;
@@ -307,12 +296,12 @@ pub fn run_colo_with<B: TieredBackend>(
             label: spec.label.clone(),
             ops: ops[i],
             ops_per_sec: ops[i] as f64 / secs,
-            stream_hash: stream[i],
+            stream_hash: stream[i].finish(),
         })
         .collect();
     ColoResult {
         per_tenant,
-        fingerprint,
+        fingerprint: fingerprint.finish(),
     }
 }
 
@@ -355,18 +344,31 @@ mod tests {
         run_colo(&mut sim, &colo_cfg(tenants))
     }
 
+    fn gups_kvs_mix() -> Vec<TenantSpec> {
+        vec![
+            TenantSpec::new(TenantKind::Gups(quick_gups(GIB, 256 << 20))),
+            TenantSpec::new(TenantKind::Kvs({
+                let mut c = KvsConfig::paper(GIB);
+                c.threads = 2;
+                c
+            })),
+        ]
+    }
+
+    /// Pinned across driver rewrites: captured from the driver that
+    /// formatted each `"{tenant}|{tid}|{batch:?}"` record into a
+    /// `String`.
+    #[test]
+    fn colo_hashes_match_the_formatted_record_driver() {
+        let r = run(ArbiterPolicy::StaticShares, gups_kvs_mix());
+        assert_eq!(r.fingerprint, 0xb779c26680f0df5d);
+        let streams: Vec<u64> = r.per_tenant.iter().map(|t| t.stream_hash).collect();
+        assert_eq!(streams, [0xc75ad42120baf705, 0x676fda2f718cc07d]);
+    }
+
     #[test]
     fn two_tenant_run_replays_byte_identically() {
-        let mix = || {
-            vec![
-                TenantSpec::new(TenantKind::Gups(quick_gups(GIB, 256 << 20))),
-                TenantSpec::new(TenantKind::Kvs({
-                    let mut c = KvsConfig::paper(GIB);
-                    c.threads = 2;
-                    c
-                })),
-            ]
-        };
+        let mix = gups_kvs_mix;
         let a = run(ArbiterPolicy::StaticShares, mix());
         let b = run(ArbiterPolicy::StaticShares, mix());
         assert_eq!(a.fingerprint, b.fingerprint, "replay fingerprints");

@@ -14,6 +14,7 @@ pub mod colo;
 pub mod fleet;
 pub mod graph;
 pub mod gups;
+pub mod hash;
 pub mod kvs;
 pub mod silo;
 pub mod stream;
@@ -24,6 +25,7 @@ pub use colo::{
 pub use fleet::{run_fleet, run_fleet_with, FleetConfig, FleetResult, LifetimeOutcome};
 pub use graph::{Bc, BcResult, GraphConfig};
 pub use gups::{run_gups, Gups, GupsConfig, GupsResult};
+pub use hash::StreamHash;
 pub use kvs::{run_kvs, Kvs, KvsConfig, KvsResult, TierRho};
 pub use silo::{run_silo, Silo, SiloConfig, SiloResult};
 pub use stream::{run_stream, StreamConfig, StreamResult};

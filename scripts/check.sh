@@ -24,8 +24,9 @@ if [ -n "$bad" ]; then
   exit 1
 fi
 
-# --workspace everywhere: the root package is the only default member,
-# so bare cargo commands would skip the other crates.
+# Cargo.toml's default-members covers every crate, so the tier-1
+# `cargo build --release && cargo test -q` already runs the whole
+# workspace; --workspace stays explicit here.
 echo "== cargo build --release --workspace"
 cargo build --release --workspace
 
@@ -153,6 +154,37 @@ bad=$(for f in crates/core/src/hemem/policy.rs crates/core/src/hemem/manager.rs;
 if [ -n "$bad" ]; then
   echo "flat per-page policy scan outside regions.rs/tracker.rs:"
   echo "$bad"
+  exit 1
+fi
+
+# perfbench correctness smoke: the benchmark's own tests (traced ==
+# untraced on every workload, every wrapped backend method forwarded),
+# then a short fleet-churn run. run.py exits 1 when no rep matches the
+# fleet stream hash, admissions, sheds, telemetry hash and fingerprint
+# recorded in perfbench/expected.json.
+echo "== perfbench smoke"
+cargo test --release --manifest-path perfbench/Cargo.toml
+python3 perfbench/run.py --workload fleet-churn --seed 1 --seconds 3 --trace 0
+
+# Driver hashing hygiene: the per-batch ThreadReady paths of the fleet,
+# churn and colocation drivers hash each record by streaming it into a
+# StreamHash, never by formatting a String first (the per-round
+# format! was half of fleetbench's wall time). The scan runs from the
+# ThreadReady match to the end of the driver function. FNV-1a itself
+# lives once, in workloads/src/hash.rs.
+echo "== driver-hashing gate"
+bad=$(for f in crates/workloads/src/fleet.rs crates/workloads/src/churn.rs crates/workloads/src/colo.rs; do
+    awk '/Event::ThreadReady/{on=1} on && /^}/{exit} /^[[:space:]]*\/\//{next} on {print FILENAME ":" FNR ": " $0}' "$f"
+  done | grep -F 'format!(' || true)
+if [ -n "$bad" ]; then
+  echo "format! on a per-batch ThreadReady path:"
+  echo "$bad"
+  exit 1
+fi
+defs=$(grep -rn 'fn fnv1a' crates/workloads/src || true)
+if [ "$(printf '%s\n' "$defs" | grep -c .)" -ne 1 ]; then
+  echo "fn fnv1a must be defined exactly once under crates/workloads/src:"
+  echo "$defs"
   exit 1
 fi
 
