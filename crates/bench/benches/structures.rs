@@ -1,6 +1,7 @@
 //! Microbenchmarks of the core data structures on HeMem's hot paths: the
 //! page FIFO queues (every PEBS sample may move a page), the Fenwick
-//! residency index (every batch queries it), the access ledger, the HDR
+//! residency index (every batch queries it, every PEBS record selects a
+//! page through it), the access ledger, the HDR
 //! histogram, the sampled direct-mapped cache, and the PEBS buffer.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -11,7 +12,7 @@ use hemem_pebs::{Pebs, PebsConfig, SampleRecord, SampleType};
 use hemem_sim::list::{FifoArena, FifoList};
 use hemem_sim::{Histogram, Rng, Zipf};
 use hemem_vmm::fenwick::FlagTree;
-use hemem_vmm::AccessLedger;
+use hemem_vmm::{AccessLedger, AddressSpace, PageSize, PhysPage, RegionKind, Tier};
 
 fn bench_fifo(c: &mut Criterion) {
     c.bench_function("fifo/push_pop_cycle", |b| {
@@ -50,6 +51,46 @@ fn bench_fenwick(c: &mut Criterion) {
             let i = rng.gen_range(262_144) as usize;
             t.set(i, !t.get(i));
             black_box(t.count_range(1000, 200_000))
+        });
+    });
+    // A region of the GUPS cold region's scale: 262,144 huge pages, a
+    // quarter unmapped, a quarter DRAM, three eighths NVM, an eighth SSD.
+    // The harness times few iterations, so each one runs 1,024 queries.
+    const PAGES: u64 = 262_144;
+    const QUERIES: u64 = 1_024;
+    let mut space = AddressSpace::new();
+    let id = space.mmap(PAGES << 21, PageSize::Huge2M, RegionKind::ManagedHeap);
+    let region = space.region_mut(id);
+    let mut rng = Rng::new(6);
+    for i in 0..PAGES {
+        let tier = match rng.gen_range(8) {
+            0 | 1 => continue,
+            2 | 3 => Tier::Dram,
+            7 => Tier::Ssd,
+            _ => Tier::Nvm,
+        };
+        region.map_page(i, tier, PhysPage(i));
+    }
+    let region = space.region(id);
+    let nvm = region.mapped_pages() - region.dram_pages() - region.ssd_pages();
+    c.bench_function("fenwick/kth_nvm", |b| {
+        let mut rng = Rng::new(7);
+        b.iter(|| {
+            for _ in 0..QUERIES {
+                black_box(region.kth_nvm_page_in(0, PAGES, rng.gen_range(nvm)));
+            }
+        });
+    });
+    c.bench_function("fenwick/first_set_in", |b| {
+        let mut t = FlagTree::new(PAGES as usize);
+        for i in 0..PAGES {
+            t.set(i as usize, region.dram_pages_in(i, i + 1) == 1);
+        }
+        let mut rng = Rng::new(8);
+        b.iter(|| {
+            for _ in 0..QUERIES {
+                black_box(t.first_set_in(rng.gen_range(PAGES) as usize));
+            }
         });
     });
 }

@@ -13,7 +13,9 @@ use std::collections::HashMap;
 use hemem_memdev::{MemOp, Pattern};
 use hemem_pebs::{SampleRecord, SampleType};
 use hemem_sim::{EventQueue, LatencyClass, Ns};
-use hemem_vmm::{FaultKind, FaultThread, PageId, PageSize, PhysPage, RegionId, RegionKind, Tier};
+use hemem_vmm::{
+    FaultKind, FaultThread, PageId, PageSize, PhysPage, Region, RegionId, RegionKind, Tier,
+};
 
 use crate::audit::{audit_machine, AuditViolation};
 use crate::backend::{AccessBatch, CopyMechanism, MigrationJob, TieredBackend};
@@ -77,6 +79,28 @@ struct EvacState {
     /// Pages still awaiting an evacuation migration, interleaved
     /// round-robin across tenants for fairness.
     queue: std::collections::VecDeque<PageId>,
+}
+
+/// Residency counts of one segment's page range, as the PEBS sampler
+/// reads them.
+#[derive(Clone, Copy)]
+struct SegmentResidency {
+    dram: u64,
+    mapped: u64,
+    /// SSD-resident pages never appear in PEBS records: their accesses
+    /// trap as major faults before any load/store can retire.
+    ssd: u64,
+}
+
+impl SegmentResidency {
+    fn of(region: &Region, seg: &crate::backend::SegmentAccess) -> SegmentResidency {
+        let (lo, hi) = (seg.lo_page, seg.hi_page);
+        SegmentResidency {
+            dram: region.dram_pages_in(lo, hi),
+            mapped: region.mapped_pages_in(lo, hi),
+            ssd: region.ssd_pages_in(lo, hi),
+        }
+    }
 }
 
 /// Outcome of submitting a batch, for latency accounting.
@@ -1988,8 +2012,6 @@ impl<B: TieredBackend> Sim<B> {
         let mut stall = Ns::ZERO;
         for _ in 0..n {
             let region = self.m.space.region(seg.region);
-            let left = region.page_count() - region.mapped_pages_in(seg.lo_page, seg.hi_page);
-            let _ = left;
             let remaining = seg.pages() - region.mapped_pages_in(seg.lo_page, seg.hi_page);
             if remaining == 0 {
                 break;
@@ -2225,12 +2247,21 @@ impl<B: TieredBackend> Sim<B> {
             (SampleType::Store, all_stores),
         ];
         let mut direct = Vec::new();
+        // The segment's residency cannot change while its records are
+        // drawn (pushes touch only the buffer; `on_samples` runs after the
+        // loop), so its counts are read once, on the first record.
+        let mut residency = None;
         for (ty, expect) in plan {
             let events = self.m.rng.round_stochastic(expect);
             let fired = self.m.pebs.events(ty, events);
             let room = self.m.pebs.burst_room(window);
             let kept = fired.min(room).min(MAX_RECORDS);
             self.m.pebs.drop_n(fired - kept);
+            if kept == 0 {
+                continue;
+            }
+            let counts = *residency
+                .get_or_insert_with(|| SegmentResidency::of(self.m.space.region(seg.region), seg));
             // The records are produced across the batch's whole service
             // window. What fits in the buffer right now is queued for the
             // PEBS thread; the remainder — justified by the drain rate
@@ -2238,12 +2269,12 @@ impl<B: TieredBackend> Sim<B> {
             // consumed while the batch is still running.
             let buffered = kept.min(self.m.pebs.free_space());
             for _ in 0..buffered {
-                if let Some(vaddr) = self.draw_sample_addr(seg, ty) {
+                if let Some(vaddr) = self.draw_sample_addr(seg, counts, ty) {
                     self.m.pebs.push(SampleRecord { vaddr, kind: ty });
                 }
             }
             for _ in 0..kept - buffered {
-                if let Some(vaddr) = self.draw_sample_addr(seg, ty) {
+                if let Some(vaddr) = self.draw_sample_addr(seg, counts, ty) {
                     direct.push(SampleRecord { vaddr, kind: ty });
                 }
             }
@@ -2261,15 +2292,12 @@ impl<B: TieredBackend> Sim<B> {
     fn draw_sample_addr(
         &mut self,
         seg: &crate::backend::SegmentAccess,
+        counts: SegmentResidency,
         ty: SampleType,
     ) -> Option<u64> {
         let region = self.m.space.region(seg.region);
         let (lo, hi) = (seg.lo_page, seg.hi_page);
-        let dram = region.dram_pages_in(lo, hi);
-        let mapped = region.mapped_pages_in(lo, hi);
-        // SSD-resident pages never appear in PEBS records: their accesses
-        // trap as major faults before any load/store can retire.
-        let ssd = region.ssd_pages_in(lo, hi);
+        let SegmentResidency { dram, mapped, ssd } = counts;
         let idx = match ty {
             SampleType::NvmLoad => {
                 let nvm = mapped - dram - ssd;
@@ -2300,7 +2328,6 @@ impl<B: TieredBackend> Sim<B> {
                 }
             }
         };
-        let region = self.m.space.region(seg.region);
         let base = region.page_addr(idx).0;
         let off = self.m.rng.gen_range(region.page_size().bytes());
         Some(base + off)

@@ -3,6 +3,13 @@
 //! Access batches cover arbitrary virtual sub-ranges; to split a batch's
 //! traffic between tiers the machine needs "how many pages of `[lo, hi)`
 //! are DRAM-resident" in O(log n), with O(log n) updates as pages migrate.
+//!
+//! The inverse query, *select* ("which page holds the `r`-th set flag"),
+//! is one O(log n) descent from the top power of two ([`select_by`]). It
+//! works on any node function shaped like a Fenwick tree, so the region
+//! residency indices descend on combinations of equal-length trees (NVM
+//! is `mapped - dram - ssd`, unmapped is `lowbit(i) - mapped`) without
+//! materialising a tree per tier.
 
 /// A Fenwick tree of 0/1 page flags with prefix-sum range queries.
 #[derive(Debug, Clone)]
@@ -49,13 +56,15 @@ impl FlagTree {
         }
     }
 
-    fn prefix(&self, mut idx: usize) -> u64 {
-        let mut s = 0u64;
-        while idx > 0 {
-            s += self.tree[idx] as u64;
-            idx -= idx & idx.wrapping_neg();
-        }
-        s
+    /// Fenwick node `idx` (1-based): the set flags among pages
+    /// `[idx - lowbit(idx), idx)`.
+    pub(crate) fn node(&self, idx: usize) -> u64 {
+        self.tree[idx] as u64
+    }
+
+    /// Set flags among pages `[0, idx)`.
+    fn prefix(&self, idx: usize) -> u64 {
+        prefix_by(idx, |i| self.node(i))
     }
 
     /// Number of set flags among pages `[lo, hi)`.
@@ -72,30 +81,52 @@ impl FlagTree {
         self.prefix(self.flags.len())
     }
 
-    /// Index of the first set flag in `[lo, len)`, or `None`. O(log²n):
-    /// a binary search over prefix sums — the region tracker walks its
-    /// candidate index with this instead of scanning pages.
+    /// Index of the first set flag in `[lo, len)`, or `None`. O(log n):
+    /// one select descent for the rank just past `prefix(lo)` — the
+    /// region tracker walks its candidate index with this instead of
+    /// scanning pages.
     pub fn first_set_in(&self, lo: usize) -> Option<usize> {
         let n = self.flags.len();
         if lo >= n {
             return None;
         }
-        let base = self.prefix(lo);
-        if self.prefix(n) == base {
-            return None;
-        }
-        // Smallest hi with prefix(hi) > base; the set flag is hi - 1.
-        let (mut left, mut right) = (lo + 1, n);
-        while left < right {
-            let mid = left + (right - left) / 2;
-            if self.prefix(mid) > base {
-                right = mid;
-            } else {
-                left = mid + 1;
+        select_by(n, self.prefix(lo) + 1, |i| self.node(i))
+    }
+}
+
+/// Prefix sum `[0, idx)` over a Fenwick-shaped node function.
+pub(crate) fn prefix_by(mut idx: usize, node: impl Fn(usize) -> u64) -> u64 {
+    let mut s = 0u64;
+    while idx > 0 {
+        s += node(idx);
+        idx -= idx & idx.wrapping_neg();
+    }
+    s
+}
+
+/// Index of the page holding the `rank`-th (1-based) unit of a
+/// Fenwick-shaped node function over `n` pages, or `None` when the total
+/// is below `rank`. Binary lifting: from the top power of two, step
+/// right over every node whose sum still falls short of the rank, so
+/// the walk ends on the last index whose prefix is below it.
+pub(crate) fn select_by(n: usize, rank: u64, node: impl Fn(usize) -> u64) -> Option<usize> {
+    if n == 0 || rank == 0 {
+        return None;
+    }
+    let (mut pos, mut rem) = (0usize, rank);
+    let mut step = 1usize << n.ilog2();
+    while step > 0 {
+        let next = pos + step;
+        if next <= n {
+            let v = node(next);
+            if v < rem {
+                pos = next;
+                rem -= v;
             }
         }
-        Some(left - 1)
+        step >>= 1;
     }
+    (pos < n).then_some(pos)
 }
 
 #[cfg(test)]
@@ -147,6 +178,22 @@ mod tests {
         assert_eq!(t.first_set_in(4), Some(7));
         assert_eq!(t.first_set_in(8), None);
         assert_eq!(t.first_set_in(99), None);
+    }
+
+    #[test]
+    fn select_finds_each_rank() {
+        let mut t = FlagTree::new(13);
+        for i in [0, 4, 5, 12] {
+            t.set(i, true);
+        }
+        let sel = |r| select_by(t.len(), r, |i| t.node(i));
+        assert_eq!(sel(0), None);
+        assert_eq!(sel(1), Some(0));
+        assert_eq!(sel(2), Some(4));
+        assert_eq!(sel(3), Some(5));
+        assert_eq!(sel(4), Some(12));
+        assert_eq!(sel(5), None, "rank past the total");
+        assert_eq!(select_by(0, 1, |_| 0), None);
     }
 
     #[test]

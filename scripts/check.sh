@@ -159,12 +159,14 @@ fi
 
 # perfbench correctness smoke: the benchmark's own tests (traced ==
 # untraced on every workload, every wrapped backend method forwarded),
-# then a short fleet-churn run. run.py exits 1 when no rep matches the
-# fleet stream hash, admissions, sheds, telemetry hash and fingerprint
-# recorded in perfbench/expected.json.
+# then short fleet-churn and gups-shift runs. run.py exits 1 when no rep
+# matches the outputs and fingerprint recorded in perfbench/expected.json:
+# the fleet stream hash, admissions, sheds and telemetry hash, and the
+# GUPS updates, which every PEBS sample draw feeds.
 echo "== perfbench smoke"
 cargo test --release --manifest-path perfbench/Cargo.toml
 python3 perfbench/run.py --workload fleet-churn --seed 1 --seconds 3 --trace 0
+python3 perfbench/run.py --workload gups-shift --seed 1 --seconds 3 --trace 0
 
 # Driver hashing hygiene: the per-batch ThreadReady paths of the fleet,
 # churn and colocation drivers hash each record by streaming it into a
