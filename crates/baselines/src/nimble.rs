@@ -118,6 +118,7 @@ impl TieredBackend for Nimble {
 
     fn on_munmap(&mut self, _m: &mut MachineCore, region: RegionId) {
         self.tracker.remove_region(region);
+        self.streaks.remove_region(region);
     }
 
     fn place(&mut self, m: &mut MachineCore, _page: PageId, _is_write: bool) -> Tier {
@@ -284,6 +285,57 @@ mod tests {
             region: id,
             index: 605
         }));
+    }
+
+    #[test]
+    fn munmap_drops_the_regions_streaks() {
+        // Two sims scan the same evidence; one then unmaps region `a`.
+        // Its streaks must go, and region `b`'s must not notice.
+        let mut twins = [sim(1, 8), sim(1, 8)];
+        let (a, b) = (twins[0].mmap(GIB), twins[0].mmap(GIB));
+        assert_eq!((a, b), (twins[1].mmap(GIB), twins[1].mmap(GIB)));
+        for s in &mut twins {
+            s.populate(a, true);
+            s.populate(b, true);
+            for id in [a, b] {
+                s.m.space.region_mut(id).ledger.add(0, 512, 300.0, 0.0);
+            }
+            let n = &mut s.backend;
+            scan_and_classify_with(
+                &mut s.m,
+                &mut n.tracker,
+                Ns::ZERO,
+                false,
+                Some(&mut n.streaks),
+                2,
+            );
+        }
+        twins[0].munmap(a);
+        let live: Vec<RegionId> = twins[0].backend.streaks.regions().collect();
+        assert_eq!(live, vec![b], "only the live region keeps streaks");
+        assert_eq!(twins[1].backend.streaks.regions().count(), 2);
+        let outs = twins.each_mut().map(|s| {
+            s.m.space.region_mut(b).ledger.add(0, 512, 300.0, 0.0);
+            let n = &mut s.backend;
+            scan_and_classify_with(
+                &mut s.m,
+                &mut n.tracker,
+                Ns::ZERO,
+                false,
+                Some(&mut n.streaks),
+                2,
+            )
+        });
+        assert_eq!(outs[0].marked_hot, outs[1].marked_hot);
+        assert_eq!(outs[0].marked_cold, outs[1].marked_cold);
+        assert!(outs[0].marked_hot > 0, "second consecutive hits promote");
+        for index in 0..512 {
+            let page = PageId { region: b, index };
+            assert_eq!(
+                twins[0].backend.streaks.get(page),
+                twins[1].backend.streaks.get(page)
+            );
+        }
     }
 
     #[test]

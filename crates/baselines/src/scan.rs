@@ -9,6 +9,12 @@
 //! (the kernel walks PTEs), while classification happens at the tracking
 //! granularity (huge pages) — this is the §2.3 cost the paper measures in
 //! Figure 3.
+//!
+//! The simulated cost is the model's; the host cost is plain sequential
+//! array work. Each region's tracker slots and streak vector are looked
+//! up once per scan, and the touch/dirty probabilities once per ledger
+//! segment, so classifying a page is one draw (two when it qualifies)
+//! plus indexed updates.
 
 use std::collections::HashMap;
 
@@ -21,7 +27,49 @@ use hemem_vmm::{touched_probability, PageId, PageSize, RegionId, RegionKind};
 /// Per-page accessed-bit streaks across scans (Linux-style second-chance:
 /// a page joins the active set only after being referenced in `needed`
 /// consecutive scans).
-pub type ScanStreaks = HashMap<PageId, u8>;
+///
+/// Storage is one dense `Vec<u8>` per region, indexed by page and sized
+/// to the region on its first classifying scan; 0 means no streak. The
+/// owner drops a region's entry with [`ScanStreaks::remove_region`] when
+/// the region is unmapped.
+#[derive(Debug, Clone, Default)]
+pub struct ScanStreaks {
+    regions: HashMap<RegionId, Vec<u8>>,
+}
+
+impl ScanStreaks {
+    /// An empty store.
+    pub fn new() -> ScanStreaks {
+        ScanStreaks::default()
+    }
+
+    /// Current streak of a page: consecutive scans that saw its accessed
+    /// bit set (saturating at `u8::MAX`), 0 if none.
+    pub fn get(&self, page: PageId) -> u8 {
+        self.regions
+            .get(&page.region)
+            .and_then(|v| v.get(page.index as usize))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Forgets every streak of `region` (it was unmapped).
+    pub fn remove_region(&mut self, region: RegionId) {
+        self.regions.remove(&region);
+    }
+
+    /// Regions holding streak storage, in no particular order.
+    pub fn regions(&self) -> impl Iterator<Item = RegionId> + '_ {
+        self.regions.keys().copied()
+    }
+
+    /// The streak vector of a `pages`-page region (regions never resize).
+    fn region_mut(&mut self, region: RegionId, pages: u64) -> &mut [u8] {
+        self.regions
+            .entry(region)
+            .or_insert_with(|| vec![0; pages as usize])
+    }
+}
 
 /// Result of one full scan pass.
 #[derive(Debug, Clone, Copy, Default)]
@@ -62,14 +110,17 @@ pub fn scan_and_classify_with(
     needed: u8,
 ) -> ScanOutcome {
     let mut out = ScanOutcome::default();
-    let ids: Vec<RegionId> = m
+    let regions: Vec<(RegionId, u32, u64)> = m
         .space
         .regions()
-        .filter(|r| r.kind() == RegionKind::ManagedHeap && tracker.tracks(r.id()))
-        .map(|r| r.id())
+        .filter(|r| r.kind() == RegionKind::ManagedHeap)
+        .filter_map(|r| {
+            let (base, tracked) = tracker.region_slots(r.id())?;
+            Some((r.id(), base, tracked))
+        })
         .collect();
     let mut total_bytes = 0u64;
-    for id in ids {
+    for (id, base, tracked) in regions {
         let region = m.space.region(id);
         let pages = region.page_count();
         let page_bytes = region.page_size().bytes();
@@ -84,60 +135,61 @@ pub fn scan_and_classify_with(
         }
         let segments = region.ledger.segments();
         out.pages_scanned += pages;
-        // Pages outside any recorded segment were untouched: cold.
-        let classify = |m: &mut MachineCore,
-                        tracker: &mut PageTracker,
-                        streaks: &mut Option<&mut ScanStreaks>,
-                        lo: u64,
-                        hi: u64,
-                        r_per_page: f64,
-                        w_per_page: f64,
-                        out: &mut ScanOutcome| {
+        let mut streak = streaks.as_deref_mut().map(|s| s.region_mut(id, pages));
+        // Classifies pages `lo..hi`, which share per-page read and write
+        // rates. Pages the tracker does not cover (`p >= tracked`) still
+        // draw and count but update nothing.
+        let mut classify = |m: &mut MachineCore,
+                            tracker: &mut PageTracker,
+                            lo: u64,
+                            hi: u64,
+                            r_per_page: f64,
+                            w_per_page: f64,
+                            out: &mut ScanOutcome| {
+            let p_touched = touched_probability(r_per_page + w_per_page);
+            let p_dirty = touched_probability(w_per_page);
             for p in lo..hi {
-                let page = PageId {
-                    region: id,
-                    index: p,
-                };
-                let accessed = m
-                    .rng
-                    .bernoulli(touched_probability(r_per_page + w_per_page));
-                let qualifies = if accessed {
-                    match streaks.as_deref_mut() {
-                        Some(map) => {
-                            let e = map.entry(page).or_insert(0);
-                            *e = e.saturating_add(1);
-                            *e >= needed
-                        }
-                        None => true,
+                let accessed = m.rng.bernoulli(p_touched);
+                let qualifies = match streak.as_deref_mut() {
+                    Some(s) if accessed => {
+                        let e = &mut s[p as usize];
+                        *e = e.saturating_add(1);
+                        *e >= needed
                     }
-                } else {
-                    if let Some(map) = streaks.as_deref_mut() {
-                        map.remove(&page);
+                    Some(s) => {
+                        s[p as usize] = 0;
+                        false
                     }
-                    false
+                    None => accessed,
                 };
+                let slot = (p < tracked).then(|| base + p as u32);
                 if qualifies {
-                    let dirty = m.rng.bernoulli(touched_probability(w_per_page));
-                    tracker.mark_hot(page, dirty_priority && dirty);
+                    let dirty = m.rng.bernoulli(p_dirty);
+                    if let Some(slot) = slot {
+                        tracker.mark_hot_slot(slot, dirty_priority && dirty);
+                    }
                     out.marked_hot += 1;
                 } else {
-                    tracker.mark_cold(page);
+                    if let Some(slot) = slot {
+                        tracker.mark_cold_slot(slot);
+                    }
                     out.marked_cold += 1;
                 }
             }
         };
+        // Pages outside any recorded segment were untouched: cold.
         let mut cursor = 0u64;
         for (lo, hi, r, w) in segments {
             let lo = lo.min(pages);
             let hi = hi.min(pages);
             if cursor < lo {
-                classify(m, tracker, &mut streaks, cursor, lo, 0.0, 0.0, &mut out);
+                classify(m, tracker, cursor, lo, 0.0, 0.0, &mut out);
             }
-            classify(m, tracker, &mut streaks, lo, hi, r, w, &mut out);
+            classify(m, tracker, lo, hi, r, w, &mut out);
             cursor = hi.max(cursor);
         }
         if cursor < pages {
-            classify(m, tracker, &mut streaks, cursor, pages, 0.0, 0.0, &mut out);
+            classify(m, tracker, cursor, pages, 0.0, 0.0, &mut out);
         }
         m.space.region_mut(id).ledger.clear();
     }
@@ -246,6 +298,62 @@ mod tests {
             region: id2,
             index: 3
         }));
+    }
+
+    fn page(region: RegionId, index: u64) -> PageId {
+        PageId { region, index }
+    }
+
+    fn streak_scan(m: &mut MachineCore, t: &mut PageTracker, s: &mut ScanStreaks) -> ScanOutcome {
+        scan_and_classify_with(m, t, Ns::ZERO, false, Some(s), 2)
+    }
+
+    #[test]
+    fn second_consecutive_hit_promotes_with_needed_two() {
+        let (mut m, mut t, id) = setup(10);
+        let mut s = ScanStreaks::new();
+        m.space.region_mut(id).ledger.add(0, 4, 1000.0, 0.0);
+        let first = streak_scan(&mut m, &mut t, &mut s);
+        assert_eq!(first.marked_hot, 0, "one hit is not enough");
+        assert_eq!(s.get(page(id, 2)), 1);
+        assert_eq!(t.queue_len(hemem_core::hemem::Queue::NvmHot), 0);
+        m.space.region_mut(id).ledger.add(0, 4, 1000.0, 0.0);
+        let second = streak_scan(&mut m, &mut t, &mut s);
+        assert_eq!(second.marked_hot, 4);
+        assert_eq!(s.get(page(id, 2)), 2);
+        assert_eq!(t.queue_len(hemem_core::hemem::Queue::NvmHot), 4);
+    }
+
+    #[test]
+    fn a_miss_resets_the_streak() {
+        let (mut m, mut t, id) = setup(10);
+        let mut s = ScanStreaks::new();
+        m.space.region_mut(id).ledger.add(0, 4, 1000.0, 0.0);
+        streak_scan(&mut m, &mut t, &mut s);
+        // Pages 0..2 are hit again; 2..4 miss.
+        m.space.region_mut(id).ledger.add(0, 2, 1000.0, 0.0);
+        let out = streak_scan(&mut m, &mut t, &mut s);
+        assert_eq!(out.marked_hot, 2);
+        assert_eq!(s.get(page(id, 1)), 2);
+        assert_eq!(s.get(page(id, 3)), 0, "miss clears the streak");
+        // A hit after the miss starts over at 1: not hot yet.
+        m.space.region_mut(id).ledger.add(2, 4, 1000.0, 0.0);
+        let out = streak_scan(&mut m, &mut t, &mut s);
+        assert_eq!(out.marked_hot, 0);
+        assert_eq!(s.get(page(id, 3)), 1);
+    }
+
+    #[test]
+    fn empty_ledger_scan_keeps_streaks() {
+        let (mut m, mut t, id) = setup(10);
+        let mut s = ScanStreaks::new();
+        m.space.region_mut(id).ledger.add(0, 4, 1000.0, 0.0);
+        streak_scan(&mut m, &mut t, &mut s);
+        let idle = streak_scan(&mut m, &mut t, &mut s);
+        assert_eq!(idle.pages_scanned, 0, "no evidence: nothing classified");
+        assert_eq!(s.get(page(id, 0)), 1, "streak survives the empty scan");
+        m.space.region_mut(id).ledger.add(0, 4, 1000.0, 0.0);
+        assert_eq!(streak_scan(&mut m, &mut t, &mut s).marked_hot, 4);
     }
 
     #[test]

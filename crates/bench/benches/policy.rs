@@ -1,10 +1,12 @@
 //! Benchmarks of HeMem's control-plane hot paths: PEBS-sample
-//! classification into the tracker, one policy pass, and a full
-//! page-table scan-and-classify pass.
+//! classification into the tracker, one policy pass, and full
+//! page-table scan-and-classify passes (with and without Nimble's
+//! referenced-streak rule).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use hemem_baselines::scan::{scan_and_classify_with, ScanStreaks};
 use hemem_baselines::scan_and_classify;
 use hemem_core::hemem::{run_policy, PageTracker, PolicyConfig, TrackerConfig};
 use hemem_core::machine::{MachineConfig, MachineCore};
@@ -12,7 +14,13 @@ use hemem_sim::{Ns, Rng};
 use hemem_vmm::{PageId, RegionKind, Tier};
 
 fn setup(pages: u64) -> (MachineCore, PageTracker, hemem_vmm::RegionId) {
-    let mut m = MachineCore::new(MachineConfig::small(16, 64));
+    setup_on(MachineConfig::small(16, 64), pages)
+}
+
+/// One managed region of `pages` huge pages on `cfg`, every third page
+/// in DRAM and the rest in NVM.
+fn setup_on(cfg: MachineConfig, pages: u64) -> (MachineCore, PageTracker, hemem_vmm::RegionId) {
+    let mut m = MachineCore::new(cfg);
     let ps = m.cfg.managed_page;
     let id = m
         .space
@@ -81,6 +89,20 @@ fn bench_scan(c: &mut Criterion) {
         b.iter(|| {
             m.space.region_mut(id).ledger.add(0, 16_384, 1e6, 1e5);
             black_box(scan_and_classify(&mut m, &mut t, Ns::secs(1), true).marked_hot)
+        });
+    });
+    // Nimble's tick at the gups-nimble footprint (512 GiB of huge pages):
+    // a saturated ledger sets every accessed and dirty bit, so the pass
+    // is all streak and tracker bookkeeping, no draws.
+    c.bench_function("scan/nimble_262k_pages", |b| {
+        const PAGES: u64 = 262_144;
+        let (mut m, mut t, id) = setup_on(MachineConfig::small(192, 384), PAGES);
+        let mut streaks = ScanStreaks::new();
+        b.iter(|| {
+            m.space.region_mut(id).ledger.add(0, PAGES, 1e9, 1e8);
+            let out =
+                scan_and_classify_with(&mut m, &mut t, Ns::secs(1), false, Some(&mut streaks), 2);
+            black_box(out.marked_hot)
         });
     });
 }

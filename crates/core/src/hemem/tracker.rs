@@ -298,6 +298,12 @@ impl PageTracker {
         (page.index < pages).then(|| base + page.index as u32)
     }
 
+    /// Base slot and tracked page count of a region, if it is tracked:
+    /// page `i < pages` of the region lives at slot `base + i`.
+    pub fn region_slots(&self, region: RegionId) -> Option<(Slot, u64)> {
+        self.regions.get(&region).copied()
+    }
+
     /// Page for a slot.
     pub fn page(&self, slot: Slot) -> PageId {
         self.slot_page[slot as usize]
@@ -513,14 +519,22 @@ impl PageTracker {
     /// a set accessed bit *is* the hotness signal). Saturates the relevant
     /// counter at its threshold so cooling behaves consistently.
     pub fn mark_hot(&mut self, page: PageId, write_heavy: bool) {
-        let Some(slot) = self.slot(page) else { return };
+        if let Some(slot) = self.slot(page) {
+            self.mark_hot_slot(slot, write_heavy);
+        }
+    }
+
+    /// [`PageTracker::mark_hot`] for a slot resolved through
+    /// [`PageTracker::region_slots`]: scans classify a region's pages in
+    /// index order and look the region up once, not once per page.
+    pub fn mark_hot_slot(&mut self, slot: Slot, write_heavy: bool) {
         self.stats.records += 1;
-        let cfg = self.cfg.clone();
-        let write_heavy = write_heavy && cfg.write_priority;
+        let (read_t, write_t) = (self.cfg.hot_read_threshold, self.cfg.hot_write_threshold);
+        let write_heavy = write_heavy && self.cfg.write_priority;
         let meta = &mut self.meta[slot as usize];
-        meta.reads = meta.reads.max(cfg.hot_read_threshold);
+        meta.reads = meta.reads.max(read_t);
         if write_heavy {
-            meta.writes = meta.writes.max(cfg.hot_write_threshold);
+            meta.writes = meta.writes.max(write_t);
             meta.write_heavy = true;
         }
         let Some(tier) = meta.tier else { return };
@@ -539,7 +553,14 @@ impl PageTracker {
 
     /// Forces a page cold (accessed bit was clear at scan time).
     pub fn mark_cold(&mut self, page: PageId) {
-        let Some(slot) = self.slot(page) else { return };
+        if let Some(slot) = self.slot(page) {
+            self.mark_cold_slot(slot);
+        }
+    }
+
+    /// [`PageTracker::mark_cold`] for a slot resolved through
+    /// [`PageTracker::region_slots`].
+    pub fn mark_cold_slot(&mut self, slot: Slot) {
         let meta = &mut self.meta[slot as usize];
         meta.reads = 0;
         meta.writes = 0;
@@ -978,6 +999,32 @@ mod tests {
             t.placed(page(i), Tier::Nvm);
         }
         t
+    }
+
+    #[test]
+    fn region_slots_resolve_the_same_slots_as_pages() {
+        let mut t = tracker();
+        t.add_region(RegionId(1), 4);
+        assert_eq!(t.region_slots(RegionId(0)), Some((0, 16)));
+        let (base, pages) = t.region_slots(RegionId(1)).expect("tracked");
+        assert_eq!((base, pages), (16, 4));
+        for index in 0..pages {
+            let p = PageId {
+                region: RegionId(1),
+                index,
+            };
+            assert_eq!(t.slot(p), Some(base + index as Slot));
+        }
+        assert_eq!(t.region_slots(RegionId(2)), None);
+        // Marking by slot is marking by page.
+        t.mark_hot_slot(3, false);
+        assert_eq!(t.queue_len(Queue::NvmHot), 1);
+        assert_eq!(t.pop_promotion(), Some(page(3)));
+        t.mark_cold(page(3));
+        assert_eq!(t.counters(page(3)), (0, 0));
+        // Pages past the tracked count stay a silent no-op.
+        t.mark_hot(page(16), true);
+        assert_eq!(t.stats().records, 1);
     }
 
     #[test]

@@ -159,14 +159,16 @@ fi
 
 # perfbench correctness smoke: the benchmark's own tests (traced ==
 # untraced on every workload, every wrapped backend method forwarded),
-# then short fleet-churn and gups-shift runs. run.py exits 1 when no rep
-# matches the outputs and fingerprint recorded in perfbench/expected.json:
-# the fleet stream hash, admissions, sheds and telemetry hash, and the
-# GUPS updates, which every PEBS sample draw feeds.
+# then short fleet-churn, gups-shift and gups-nimble runs. run.py exits 1
+# when no rep matches the outputs and fingerprint recorded in
+# perfbench/expected.json: the fleet stream hash, admissions, sheds and
+# telemetry hash, and the GUPS updates, which every PEBS sample draw
+# (HeMem) and every page-table scan draw (Nimble) feeds.
 echo "== perfbench smoke"
 cargo test --release --manifest-path perfbench/Cargo.toml
 python3 perfbench/run.py --workload fleet-churn --seed 1 --seconds 3 --trace 0
 python3 perfbench/run.py --workload gups-shift --seed 1 --seconds 3 --trace 0
+python3 perfbench/run.py --workload gups-nimble --seed 1 --seconds 3 --trace 0
 
 # Driver hashing hygiene: the per-batch ThreadReady paths of the fleet,
 # churn and colocation drivers hash each record by streaming it into a
