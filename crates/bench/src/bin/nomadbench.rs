@@ -1,6 +1,8 @@
 //! Non-exclusive tiering gate: clean NVM shadow pages must turn
 //! demotion-heavy churn into zero-copy remaps without regressing the
-//! fault tail, and the feature flag must be a perfect no-op when off.
+//! fault tail. The feature defaults off; tierbench gate (a) asserts
+//! that default and checks that the frozen 2-tier run stays
+//! byte-identical with it.
 //!
 //! Gates:
 //!
@@ -11,13 +13,7 @@
 //!     of pages by remap alone (zero bytes on the copy engines), cut
 //!     total journaled migration bytes by >= 30%, and hold the
 //!     major-fault p99 no worse than the exclusive run.
-//! (b) **Shadows-off byte-identity** — with `nvm_shadows` off (the
-//!     default), the tierbench gate (a) configuration must reproduce the
-//!     committed pre-PR baselines byte for byte
-//!     (`results/tierbench_2tier_baseline.txt` /
-//!     `results/tierbench_2tier_telemetry.csv`): the feature must be
-//!     invisible until switched on.
-//! (c) **Kill-replay determinism** — the shadowed churn with a seeded
+//! (b) **Kill-replay determinism** — the shadowed churn with a seeded
 //!     manager kill (journal recovery + shadow reconcile) and with a
 //!     seeded tenant kill (drain) replays byte-identically, shadow
 //!     counters included, and the post-recovery audit is silent.
@@ -28,27 +24,12 @@
 
 use hemem_baselines::{AnyBackend, BackendKind};
 use hemem_bench::{
-    assert_silent_audit, compare_baseline, f3, fingerprint, record_wallclock, write_results,
-    ExpArgs, Report,
+    assert_silent_audit, f3, fingerprint, record_wallclock, write_results, ExpArgs, Report,
 };
 use hemem_core::backend::AccessBatch;
 use hemem_core::machine::MachineConfig;
 use hemem_core::runtime::{Event, Sim};
-use hemem_core::telemetry::Telemetry;
 use hemem_sim::{LatencyClass, Ns, TenantKill};
-use hemem_vmm::RegionId;
-use hemem_workloads::{Gups, GupsConfig};
-
-/// Machine scale divisor for every gate (2 GiB DRAM + 8 GiB NVM).
-const SCALE: u64 = 96;
-
-/// Fixed args for the gate runs: CLI flags must not move the baseline.
-fn gate_args() -> ExpArgs {
-    ExpArgs {
-        scale: SCALE,
-        ..ExpArgs::default()
-    }
-}
 
 /// Pages per churn span and accesses per batch: narrow, hot spans build
 /// PEBS heat fast enough that the drifting set keeps the promotion and
@@ -96,7 +77,7 @@ fn churn_run(mc: MachineConfig, write_frac: f64) -> ChurnOutcome {
     let mut accesses = 0u64;
     for round in 0..ROUNDS {
         for base in [(round * STRIDE) % span, ((round * STRIDE) + 640) % span] {
-            // A seeded tenant kill (gate c) unmaps the region mid-churn;
+            // A seeded tenant kill (gate b) unmaps the region mid-churn;
             // the remaining schedule just advances time.
             if !sim.m.space.regions().any(|r| r.id() == region) {
                 sim.advance(Ns::millis(50));
@@ -125,7 +106,7 @@ fn churn_run(mc: MachineConfig, write_frac: f64) -> ChurnOutcome {
     }
 }
 
-/// The kill-replay variant of the churn for gate (c): the same drifting
+/// The kill-replay variant of the churn for gate (b): the same drifting
 /// schedule with a seeded manager or tenant kill landing mid-churn.
 fn killed_churn_fingerprint(manager: bool) -> String {
     let mut mc = churn_machine(true);
@@ -136,7 +117,7 @@ fn killed_churn_fingerprint(manager: bool) -> String {
         mc.chaos.tenant_kill_at = vec![TenantKill { tenant: 0, at }];
     }
     let mut out = churn_run(mc, 0.2);
-    assert_silent_audit(&mut out.sim, "gate (c) kill recovery");
+    assert_silent_audit(&mut out.sim, "gate (b) kill recovery");
     format!(
         "{}|{:?}|{:?}|{}",
         fingerprint(&out.sim),
@@ -144,47 +125,6 @@ fn killed_churn_fingerprint(manager: bool) -> String {
         out.sim.m.recovery,
         out.sim.m.nvm_pool.shadow_held_pages(),
     )
-}
-
-/// Replays the frozen tierbench gate (a) runs with the (default)
-/// shadows-off config and checks them against the committed pre-PR
-/// baselines. Byte drift here means the feature is not a no-op when off.
-fn gate_shadows_off_identity() {
-    let args = gate_args();
-    let mut cfg = GupsConfig::paper(args.gib(256), args.gib(16));
-    cfg.warmup = Ns::secs(2);
-    cfg.duration = Ns::secs(2);
-    let mc = args.machine();
-    assert!(!mc.nvm_shadows, "shadows must default off");
-    let backend = BackendKind::HeMem.build(&mc);
-    let mut sim = Sim::new(mc, backend);
-    let mut gups = Gups::setup(&mut sim, cfg);
-    let _ = gups.run(&mut sim);
-    let fp = format!("{}\n", fingerprint(&sim));
-    compare_baseline(
-        "gate (b)",
-        "tierbench_2tier_baseline.txt",
-        &fp,
-        "shadows-off 2-tier fingerprint",
-    );
-
-    let mc = args.machine();
-    let backend = BackendKind::HeMem.build(&mc);
-    let mut sim = Sim::new(mc, backend);
-    let id: RegionId = sim.mmap(2 * sim.m.cfg.dram.capacity);
-    sim.populate(id, true);
-    let mut t = Telemetry::new(id, Ns::millis(50));
-    for _ in 0..30 {
-        t.maybe_sample(&sim);
-        sim.advance(Ns::millis(50));
-    }
-    t.maybe_sample(&sim);
-    compare_baseline(
-        "gate (b)",
-        "tierbench_2tier_telemetry.csv",
-        &t.csv(),
-        "shadows-off 2-tier telemetry",
-    );
 }
 
 fn main() {
@@ -227,19 +167,15 @@ fn main() {
         excl_p99
     );
 
-    // Gate (b): the feature flag off is byte-invisible.
-    gate_shadows_off_identity();
-    sim_secs += 4.0 + 1.5;
-
-    // Gate (c): seeded kills replay byte-identically with a silent audit.
+    // Gate (b): seeded kills replay byte-identically with a silent audit.
     for (label, manager) in [("manager", true), ("tenant", false)] {
         let fp1 = killed_churn_fingerprint(manager);
         let fp2 = killed_churn_fingerprint(manager);
         assert_eq!(
             fp1, fp2,
-            "gate (c) failed: shadowed {label}-kill churn replay diverged"
+            "gate (b) failed: shadowed {label}-kill churn replay diverged"
         );
-        println!("gate (c): {label}-kill replay byte-identical, audit silent");
+        println!("gate (b): {label}-kill replay byte-identical, audit silent");
         sim_secs += 2.0 * 8.0;
     }
 

@@ -1,8 +1,9 @@
 //! Footprint-scaling gate: multi-grained region tracking must keep the
 //! policy pass sublinear in the tenant's footprint, and the self-tuning
 //! PEBS controller must hold the sample-drop fraction where a fixed
-//! period cannot — without either feature perturbing a single byte when
-//! off.
+//! period cannot. Both features default off; tierbench gate (a)
+//! asserts those defaults and checks that the frozen 2-tier run stays
+//! byte-identical with them.
 //!
 //! Gates:
 //!
@@ -19,12 +20,7 @@
 //!     while the adaptive controller started from the *same* period
 //!     raises itself out of the overload and lands its last decision
 //!     window inside the budget, with a lower cumulative drop fraction.
-//! (c) **Regions-off byte-identity** — with regions and adaptation off
-//!     (the defaults), the tierbench gate (a) configuration must
-//!     reproduce the committed pre-PR baselines byte for byte
-//!     (`results/tierbench_2tier_baseline.txt` /
-//!     `results/tierbench_2tier_telemetry.csv`).
-//! (d) **Kill-replay determinism** — the multi-grain + adaptive churn
+//! (c) **Kill-replay determinism** — the multi-grain + adaptive churn
 //!     with a seeded manager kill landing mid-split/merge replays
 //!     byte-identically (region and controller counters included) and
 //!     the post-recovery audit is silent.
@@ -33,17 +29,14 @@
 //! and multi-grain policy-pass costs and the span/split/merge activity
 //! behind them.
 
-use hemem_bench::{compare_baseline, f3, fingerprint, record_wallclock, ExpArgs, Report};
+use hemem_bench::{f3, fingerprint, record_wallclock, ExpArgs, Report};
 use hemem_core::backend::AccessBatch;
 use hemem_core::hemem::{HeMem, HeMemConfig, RegionConfig, RegionStats};
 use hemem_core::machine::MachineConfig;
 use hemem_core::runtime::{Event, Sim};
-use hemem_core::telemetry::Telemetry;
 use hemem_memdev::GIB;
 use hemem_pebs::AdaptiveConfig;
 use hemem_sim::Ns;
-use hemem_vmm::RegionId;
-use hemem_workloads::{Gups, GupsConfig};
 
 /// Footprints swept by gate (a), in GiB. The machine is fixed and every
 /// point oversubscribes its 1 GiB of DRAM, so the sweep scales only the
@@ -142,7 +135,7 @@ fn region_stats(out: &RunOutcome) -> RegionStats {
         .expect("region tracking enabled for sweep runs")
 }
 
-/// The gate (d) run: multi-grain regions plus the adaptive controller,
+/// The gate (c) run: multi-grain regions plus the adaptive controller,
 /// with a seeded manager kill landing mid-churn — after warmup, while
 /// splits and merges are in full swing.
 fn killed_adaptive_fingerprint() -> (String, usize) {
@@ -163,55 +156,6 @@ fn killed_adaptive_fingerprint() -> (String, usize) {
         out.sim.m.pebs.adapt_stats(),
     );
     (fp, violations.len())
-}
-
-/// Replays the frozen tierbench gate (a) runs with the (default)
-/// regions-off, adaptation-off config and checks them against the
-/// committed baselines. Byte drift here means one of the new features is
-/// not a no-op when off.
-fn gate_regions_off_identity() {
-    let args = ExpArgs {
-        scale: 96,
-        ..ExpArgs::default()
-    };
-    let mut cfg = GupsConfig::paper(args.gib(256), args.gib(16));
-    cfg.warmup = Ns::secs(2);
-    cfg.duration = Ns::secs(2);
-    let mc = args.machine();
-    assert!(mc.pebs.adaptive.is_none(), "adaptation must default off");
-    assert!(
-        !HeMemConfig::scaled_for(&mc).tracker.regions.enabled,
-        "regions must default off"
-    );
-    let backend = hemem_baselines::BackendKind::HeMem.build(&mc);
-    let mut sim = Sim::new(mc, backend);
-    let mut gups = Gups::setup(&mut sim, cfg);
-    let _ = gups.run(&mut sim);
-    let fp = format!("{}\n", fingerprint(&sim));
-    compare_baseline(
-        "gate (c)",
-        "tierbench_2tier_baseline.txt",
-        &fp,
-        "regions-off 2-tier fingerprint",
-    );
-
-    let mc = args.machine();
-    let backend = hemem_baselines::BackendKind::HeMem.build(&mc);
-    let mut sim = Sim::new(mc, backend);
-    let id: RegionId = sim.mmap(2 * sim.m.cfg.dram.capacity);
-    sim.populate(id, true);
-    let mut t = Telemetry::new(id, Ns::millis(50));
-    for _ in 0..30 {
-        t.maybe_sample(&sim);
-        sim.advance(Ns::millis(50));
-    }
-    t.maybe_sample(&sim);
-    compare_baseline(
-        "gate (c)",
-        "tierbench_2tier_telemetry.csv",
-        &t.csv(),
-        "regions-off 2-tier telemetry",
-    );
 }
 
 fn main() {
@@ -337,23 +281,19 @@ fn main() {
         a.last_window_drop_milli
     );
 
-    // Gate (c): both features off are byte-invisible.
-    gate_regions_off_identity();
-    sim_secs += 4.0 + 1.5;
-
-    // Gate (d): the seeded kill replays byte-identically, audit silent.
+    // Gate (c): the seeded kill replays byte-identically, audit silent.
     let (fp1, v1) = killed_adaptive_fingerprint();
     let (fp2, v2) = killed_adaptive_fingerprint();
     assert_eq!(
         fp1, fp2,
-        "gate (d) failed: seeded regions+adaptive kill-run replay diverged"
+        "gate (c) failed: seeded regions+adaptive kill-run replay diverged"
     );
     assert_eq!(
         v1 + v2,
         0,
-        "gate (d) failed: kill recovery left audit violations"
+        "gate (c) failed: kill recovery left audit violations"
     );
-    println!("gate (d): manager-kill replay byte-identical, audit silent");
+    println!("gate (c): manager-kill replay byte-identical, audit silent");
     sim_secs += 2.0 * 3.0;
 
     record_wallclock("scalebench", wall.elapsed().as_secs_f64(), sim_secs);

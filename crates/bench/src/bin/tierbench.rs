@@ -9,7 +9,12 @@
 //!     against the committed pre-PR results
 //!     (`results/tierbench_2tier_baseline.txt` /
 //!     `results/tierbench_2tier_telemetry.csv`). Any drift in RNG draw
-//!     order, event ordering, or counter layout fails the gate.
+//!     order, event ordering, or counter layout fails the gate. The
+//!     configuration runs every later feature at its default (adaptive
+//!     PEBS, multi-grain regions and NVM shadows off, no fleet), so this
+//!     one leg is also the "off is byte-identical" check for each of
+//!     them: their defaults are asserted, and the fingerprint must carry
+//!     no fleet segment.
 //! (b) **Managed beats spill** — GUPS at 1.5x (DRAM+NVM)
 //!     oversubscription on a 3-tier machine: HeMem with the SSD tier
 //!     enabled must deliver strictly more aggregate throughput than the
@@ -51,13 +56,19 @@ fn gate_args() -> ExpArgs {
 }
 
 /// The frozen 2-tier configuration replayed for gate (a): crashbench's
-/// GUPS shape without kills.
+/// GUPS shape without kills, with every optional feature at its default.
 fn two_tier_run() -> (Sim<AnyBackend>, GupsResult) {
     let args = gate_args();
     let mut cfg = GupsConfig::paper(args.gib(256), args.gib(16));
     cfg.warmup = Ns::secs(2);
     cfg.duration = Ns::secs(2);
     let mc = args.machine();
+    assert!(mc.pebs.adaptive.is_none(), "adaptation must default off");
+    assert!(
+        !HeMemConfig::scaled_for(&mc).tracker.regions.enabled,
+        "regions must default off"
+    );
+    assert!(!mc.nvm_shadows, "shadows must default off");
     let backend = BackendKind::HeMem.build(&mc);
     let mut sim = Sim::new(mc, backend);
     let mut gups = Gups::setup(&mut sim, cfg);
@@ -182,6 +193,10 @@ fn main() {
     // Gate (a): the 2-tier machine is byte-identical to the pre-PR build.
     let (sim2, res2) = two_tier_run();
     let fp2 = format!("{}\n", fingerprint(&sim2));
+    assert!(
+        !fp2.contains("|fleet:"),
+        "gate (a) failed: solo run grew a fleet fingerprint segment"
+    );
     gate_a("tierbench_2tier_baseline.txt", &fp2, "2-tier fingerprint");
     let csv2 = two_tier_telemetry();
     gate_a("tierbench_2tier_telemetry.csv", &csv2, "2-tier telemetry");

@@ -6,7 +6,7 @@
 //! PEBS samples processed by a dedicated thread, and migrates pages
 //! asynchronously under the 10 ms policy thread using DMA offload.
 
-use hemem_pebs::{SampleRecord, TenantDemux, TenantStreamStats};
+use hemem_pebs::{SampleRecord, TenantDemux};
 use hemem_sim::Ns;
 use hemem_vmm::{PageId, RegionId, TenantId, Tier, VirtAddr};
 
@@ -280,11 +280,6 @@ impl HeMem {
         self.pin_new_regions = enabled;
     }
 
-    /// Whether `region` is pinned to DRAM.
-    pub fn is_pinned(&self, region: RegionId) -> bool {
-        self.pinned.contains(&region)
-    }
-
     /// Admits tenant `t` (dynamic join): asks the arbiter for a quota
     /// grant, resets the slot's tracker and breaker state, and marks it
     /// live. Rejected when the slot is out of range, already live, or
@@ -433,15 +428,6 @@ impl HeMem {
     /// Samples applied to tenant `t`'s tracker.
     pub fn tenant_samples(&self, t: TenantId) -> u64 {
         self.pool.slots[t.0 as usize].samples_applied
-    }
-
-    /// Tenant `t`'s PEBS stream counters (zero when the single-tenant
-    /// path bypasses the demux).
-    pub fn tenant_stream_stats(&self, t: TenantId) -> TenantStreamStats {
-        self.demux
-            .as_ref()
-            .map(|d| d.stream_stats(t.0 as usize))
-            .unwrap_or_default()
     }
 
     /// Configuration in effect.

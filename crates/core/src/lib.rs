@@ -41,6 +41,5 @@ pub use journal::{JournalEntry, MigrationJournal, TxnState};
 pub use machine::{MachineConfig, MachineCore, MachineStats, RecoveryStats, WatchdogConfig};
 pub use runtime::{BatchReceipt, Event, Sim};
 pub use telemetry::{
-    IntervalRates, Snapshot, Telemetry, TenantSnapshot, TenantTelemetry, TierSnapshot,
-    TierTelemetry,
+    Snapshot, Telemetry, TenantSnapshot, TenantTelemetry, TierSnapshot, TierTelemetry,
 };

@@ -153,12 +153,6 @@ impl MachineConfig {
         self
     }
 
-    /// Enables structured trace capture.
-    pub fn with_trace(mut self) -> MachineConfig {
-        self.trace = true;
-        self
-    }
-
     /// Adds an NVMe swap device of `capacity` bytes behind the tiers.
     pub fn with_swap(mut self, capacity: u64) -> MachineConfig {
         self.disk = Some(DeviceConfig::nvme_ssd(capacity));
@@ -169,12 +163,6 @@ impl MachineConfig {
     /// bytes that holds mapped `Tier::Ssd` pages.
     pub fn with_tier3(mut self, capacity: u64) -> MachineConfig {
         self.ssd = Some(SsdConfig::nvme(capacity));
-        self
-    }
-
-    /// Installs a fault-injection plan.
-    pub fn with_chaos(mut self, chaos: FaultPlanConfig) -> MachineConfig {
-        self.chaos = chaos;
         self
     }
 

@@ -2,16 +2,138 @@
 //!
 //! Experiments like Figure 9 (instantaneous throughput) and Figure 16
 //! (per-iteration wear) need the machine's state sampled over virtual
-//! time. [`Telemetry`] snapshots counters on a fixed period driven by the
-//! workload loop (call [`Telemetry::maybe_sample`] whenever convenient —
-//! it only records when a full period has elapsed) and computes
-//! per-interval deltas for the cumulative counters.
+//! time. A [`Sampler`] records rows on a fixed period driven by the
+//! workload loop (call [`Sampler::maybe_sample`] whenever convenient —
+//! it only records when a full period has elapsed) and renders them as
+//! CSV. Each row type is one CSV schema:
+//!
+//! - [`Snapshot`] ([`Telemetry`]): one region's residency, cumulative
+//!   counters and latency percentiles;
+//! - [`TierSnapshot`] ([`TierTelemetry`]): one region's N-tier
+//!   residency and major-fault tail;
+//! - [`TenantSnapshot`] ([`TenantTelemetry`]): one row per tenant;
+//! - [`HealthSnapshot`] ([`HealthTelemetry`]): one row per tier.
+
+use std::fmt::Write;
 
 use hemem_sim::{LatencyClass, Ns};
-use hemem_vmm::RegionId;
+use hemem_vmm::{RegionId, TenantId, Tier};
 
 use crate::backend::TieredBackend;
+use crate::hemem::HeMem;
+use crate::machine::TierHealth;
 use crate::runtime::Sim;
+
+/// A telemetry row schema: what its sampler watches, its CSV header,
+/// and how one row renders.
+pub trait Row: Sized {
+    /// What a sampler of these rows is built for: a region, or `()` for
+    /// machine-wide rows.
+    type Scope: Copy;
+    /// The CSV header line, without its newline.
+    const HEADER: &'static str;
+    /// Appends this row as one CSV line, newline included.
+    fn write(&self, out: &mut String);
+}
+
+/// How a row schema samples a `Sim<B>`.
+pub trait Take<B: TieredBackend>: Row {
+    /// Appends the rows of one sample taken at `sim.now()`.
+    fn take(scope: Self::Scope, sim: &Sim<B>, rows: &mut Vec<Self>);
+}
+
+/// Periodic sampler of one row schema.
+#[derive(Debug, Clone)]
+pub struct Sampler<R: Row> {
+    scope: R::Scope,
+    period: Ns,
+    next_at: Ns,
+    samples: Vec<R>,
+}
+
+/// Samples one region's two-tier state ([`Snapshot`] rows).
+pub type Telemetry = Sampler<Snapshot>;
+/// Samples one region's N-tier residency ([`TierSnapshot`] rows).
+pub type TierTelemetry = Sampler<TierSnapshot>;
+/// Samples every tenant, one row each ([`TenantSnapshot`] rows).
+pub type TenantTelemetry = Sampler<TenantSnapshot>;
+/// Samples every tier's health, one row each ([`HealthSnapshot`] rows).
+pub type HealthTelemetry = Sampler<HealthSnapshot>;
+
+impl<R: Row> Sampler<R> {
+    fn scoped(scope: R::Scope, period: Ns) -> Sampler<R> {
+        assert!(period > Ns::ZERO, "period must be positive");
+        Sampler {
+            scope,
+            period,
+            next_at: Ns::ZERO,
+            samples: Vec::new(),
+        }
+    }
+
+    /// Records a sample if at least one period elapsed since the last
+    /// (the first call always samples). Returns `true` if one was taken.
+    // Out of line on purpose: drivers poll this from a per-step closure,
+    // and inlining it into the fleet driver's loop slowed fleet-churn
+    // by ~6% in perfbench.
+    #[inline(never)]
+    pub fn maybe_sample<B: TieredBackend>(&mut self, sim: &Sim<B>) -> bool
+    where
+        R: Take<B>,
+    {
+        let now = sim.now();
+        if now < self.next_at {
+            return false;
+        }
+        self.next_at = now + self.period;
+        R::take(self.scope, sim, &mut self.samples);
+        true
+    }
+
+    /// All rows taken so far.
+    pub fn snapshots(&self) -> &[R] {
+        &self.samples
+    }
+
+    /// Renders the rows as CSV: [`Row::HEADER`], then one line per row.
+    pub fn csv(&self) -> String {
+        let mut out = format!("{}\n", R::HEADER);
+        for s in &self.samples {
+            s.write(&mut out);
+        }
+        out
+    }
+}
+
+impl<R: Row<Scope = RegionId>> Sampler<R> {
+    /// Creates a sampler for `region` with the given period.
+    pub fn new(region: RegionId, period: Ns) -> Sampler<R> {
+        Sampler::scoped(region, period)
+    }
+}
+
+impl Sampler<TenantSnapshot> {
+    /// Creates a machine-wide sampler with the given period.
+    pub fn new(period: Ns) -> Sampler<TenantSnapshot> {
+        Sampler::scoped((), period)
+    }
+}
+
+impl Sampler<HealthSnapshot> {
+    /// Creates a machine-wide sampler with the given period.
+    pub fn new(period: Ns) -> Sampler<HealthSnapshot> {
+        Sampler::scoped((), period)
+    }
+}
+
+/// Writes one CSV line: `time_s` (3 decimals), then `fields`.
+fn write_line(out: &mut String, at: Ns, fields: &[u64]) {
+    let _ = write!(out, "{:.3}", at.as_secs_f64());
+    for v in fields {
+        let _ = write!(out, ",{v}");
+    }
+    out.push('\n');
+}
 
 /// One snapshot of machine state.
 #[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
@@ -88,56 +210,68 @@ pub struct Snapshot {
     pub pebs_drop_frac_milli: u64,
 }
 
-/// Per-interval rates derived from consecutive snapshots.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
-pub struct IntervalRates {
-    /// Interval end time.
-    pub at: Ns,
-    /// Accesses per second in the interval.
-    pub ops_per_sec: f64,
-    /// Migrations per second.
-    pub migrations_per_sec: f64,
-    /// NVM wear bytes per second.
-    pub wear_per_sec: f64,
-    /// DRAM residency fraction at interval end.
-    pub dram_fraction: f64,
-}
+impl Row for Snapshot {
+    type Scope = RegionId;
+    const HEADER: &'static str =
+        "time_s,dram_pages,mapped_pages,swapped_pages,migrations,nvm_wear,ops,wp_stalls,\
+         faults_injected,dma_fallbacks,migrations_failed,pages_retired,\
+         manager_kills,journal_replays,journal_rollbacks,swap_rollbacks,\
+         watchdog_restarts,audit_violations,\
+         mig_p50_ns,mig_p99_ns,mig_p999_ns,mig_max_ns,\
+         fault_p50_ns,fault_p99_ns,fault_p999_ns,fault_max_ns,\
+         wp_p50_ns,wp_p99_ns,wp_p999_ns,wp_max_ns,\
+         pebs_sample_period,pebs_drop_frac_milli";
 
-/// Periodic sampler of one region's tiering state.
-#[derive(Debug, Clone)]
-pub struct Telemetry {
-    region: RegionId,
-    period: Ns,
-    next_at: Ns,
-    samples: Vec<Snapshot>,
-}
-
-impl Telemetry {
-    /// Creates a sampler for `region` with the given period.
-    pub fn new(region: RegionId, period: Ns) -> Telemetry {
-        assert!(period > Ns::ZERO, "period must be positive");
-        Telemetry {
-            region,
-            period,
-            next_at: Ns::ZERO,
-            samples: Vec::new(),
-        }
+    fn write(&self, out: &mut String) {
+        write_line(
+            out,
+            self.at,
+            &[
+                self.dram_pages,
+                self.mapped_pages,
+                self.swapped_pages,
+                self.migrations,
+                self.nvm_wear,
+                self.ops,
+                self.wp_stalls,
+                self.faults_injected,
+                self.dma_fallbacks,
+                self.migrations_failed,
+                self.pages_retired,
+                self.manager_kills,
+                self.journal_replays,
+                self.journal_rollbacks,
+                self.swap_rollbacks,
+                self.watchdog_restarts,
+                self.audit_violations,
+                self.mig_p50_ns,
+                self.mig_p99_ns,
+                self.mig_p999_ns,
+                self.mig_max_ns,
+                self.fault_p50_ns,
+                self.fault_p99_ns,
+                self.fault_p999_ns,
+                self.fault_max_ns,
+                self.wp_p50_ns,
+                self.wp_p99_ns,
+                self.wp_p999_ns,
+                self.wp_max_ns,
+                self.pebs_sample_period,
+                self.pebs_drop_frac_milli,
+            ],
+        );
     }
+}
 
-    /// Records a snapshot if at least one period elapsed since the last.
-    /// Returns `true` if a sample was taken.
-    pub fn maybe_sample<B: TieredBackend>(&mut self, sim: &Sim<B>) -> bool {
-        let now = sim.now();
-        if now < self.next_at {
-            return false;
-        }
-        self.next_at = now + self.period;
-        let r = sim.m.space.region(self.region);
+impl<B: TieredBackend> Take<B> for Snapshot {
+    fn take(region: RegionId, sim: &Sim<B>, rows: &mut Vec<Snapshot>) {
+        let r = sim.m.space.region(region);
         let mig = sim.m.trace.hist(LatencyClass::Migration);
         let fault = sim.m.trace.hist(LatencyClass::Fault);
         let wp = sim.m.trace.hist(LatencyClass::WpStall);
-        self.samples.push(Snapshot {
-            at: now,
+        let pebs = sim.m.pebs.stats();
+        rows.push(Snapshot {
+            at: sim.now(),
             dram_pages: r.dram_pages(),
             mapped_pages: r.mapped_pages(),
             swapped_pages: r.swapped_pages(),
@@ -168,101 +302,10 @@ impl Telemetry {
             wp_p999_ns: wp.quantile(0.999),
             wp_max_ns: wp.max(),
             pebs_sample_period: sim.m.pebs.sample_period(),
-            pebs_drop_frac_milli: {
-                let p = sim.m.pebs.stats();
-                (p.dropped * 1_000).checked_div(p.generated).unwrap_or(0)
-            },
+            pebs_drop_frac_milli: (pebs.dropped * 1_000)
+                .checked_div(pebs.generated)
+                .unwrap_or(0),
         });
-        true
-    }
-
-    /// All snapshots taken so far.
-    pub fn snapshots(&self) -> &[Snapshot] {
-        &self.samples
-    }
-
-    /// Per-interval rates between consecutive snapshots.
-    pub fn rates(&self) -> Vec<IntervalRates> {
-        self.samples
-            .windows(2)
-            .map(|w| {
-                let (a, b) = (w[0], w[1]);
-                let dt = b.at.saturating_sub(a.at).as_secs_f64().max(1e-12);
-                IntervalRates {
-                    at: b.at,
-                    ops_per_sec: (b.ops - a.ops) as f64 / dt,
-                    migrations_per_sec: (b.migrations - a.migrations) as f64 / dt,
-                    wear_per_sec: (b.nvm_wear - a.nvm_wear) as f64 / dt,
-                    dram_fraction: if b.mapped_pages == 0 {
-                        0.0
-                    } else {
-                        b.dram_pages as f64 / b.mapped_pages as f64
-                    },
-                }
-            })
-            .collect()
-    }
-
-    /// Renders snapshots as CSV (`time_s,dram_pages,mapped,swapped,
-    /// migrations,wear_bytes,ops,wp_stalls`, then the fault-injection
-    /// columns `faults_injected,dma_fallbacks,migrations_failed,
-    /// pages_retired`, then the crash-recovery columns `manager_kills,
-    /// journal_replays,journal_rollbacks,swap_rollbacks,
-    /// watchdog_restarts,audit_violations`, then cumulative latency
-    /// percentiles in nanoseconds for migrations, page faults, and
-    /// write-protection stalls: `{mig,fault,wp}_{p50,p99,p999,max}_ns`,
-    /// then the PEBS controller columns `pebs_sample_period,
-    /// pebs_drop_frac_milli`).
-    pub fn csv(&self) -> String {
-        let mut out = String::from(
-            "time_s,dram_pages,mapped_pages,swapped_pages,migrations,nvm_wear,ops,wp_stalls,\
-             faults_injected,dma_fallbacks,migrations_failed,pages_retired,\
-             manager_kills,journal_replays,journal_rollbacks,swap_rollbacks,\
-             watchdog_restarts,audit_violations,\
-             mig_p50_ns,mig_p99_ns,mig_p999_ns,mig_max_ns,\
-             fault_p50_ns,fault_p99_ns,fault_p999_ns,fault_max_ns,\
-             wp_p50_ns,wp_p99_ns,wp_p999_ns,wp_max_ns,\
-             pebs_sample_period,pebs_drop_frac_milli\n",
-        );
-        for s in &self.samples {
-            out.push_str(&format!(
-                "{:.3},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},\
-                 {},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                s.at.as_secs_f64(),
-                s.dram_pages,
-                s.mapped_pages,
-                s.swapped_pages,
-                s.migrations,
-                s.nvm_wear,
-                s.ops,
-                s.wp_stalls,
-                s.faults_injected,
-                s.dma_fallbacks,
-                s.migrations_failed,
-                s.pages_retired,
-                s.manager_kills,
-                s.journal_replays,
-                s.journal_rollbacks,
-                s.swap_rollbacks,
-                s.watchdog_restarts,
-                s.audit_violations,
-                s.mig_p50_ns,
-                s.mig_p99_ns,
-                s.mig_p999_ns,
-                s.mig_max_ns,
-                s.fault_p50_ns,
-                s.fault_p99_ns,
-                s.fault_p999_ns,
-                s.fault_max_ns,
-                s.wp_p50_ns,
-                s.wp_p99_ns,
-                s.wp_p999_ns,
-                s.wp_max_ns,
-                s.pebs_sample_period,
-                s.pebs_drop_frac_milli
-            ));
-        }
-        out
     }
 }
 
@@ -296,42 +339,39 @@ pub struct TierSnapshot {
     pub swap_ins: u64,
 }
 
-/// Periodic sampler of one region's N-tier residency and major-fault
-/// latency, for tier-3 experiments. Deliberately a separate type from
-/// [`Telemetry`] so the two-tier CSV schema stays byte-stable.
-#[derive(Debug, Clone)]
-pub struct TierTelemetry {
-    region: RegionId,
-    period: Ns,
-    next_at: Ns,
-    samples: Vec<TierSnapshot>,
+impl Row for TierSnapshot {
+    type Scope = RegionId;
+    const HEADER: &'static str = "time_s,dram_pages,nvm_pages,ssd_pages,swapped_pages,\
+         major_faults,major_p50_ns,major_p99_ns,major_p999_ns,\
+         swap_outs,swap_ins";
+
+    fn write(&self, out: &mut String) {
+        write_line(
+            out,
+            self.at,
+            &[
+                self.dram_pages,
+                self.nvm_pages,
+                self.ssd_pages,
+                self.swapped_pages,
+                self.major_faults,
+                self.major_p50_ns,
+                self.major_p99_ns,
+                self.major_p999_ns,
+                self.swap_outs,
+                self.swap_ins,
+            ],
+        );
+    }
 }
 
-impl TierTelemetry {
-    /// Creates a sampler for `region` with the given period.
-    pub fn new(region: RegionId, period: Ns) -> TierTelemetry {
-        assert!(period > Ns::ZERO, "period must be positive");
-        TierTelemetry {
-            region,
-            period,
-            next_at: Ns::ZERO,
-            samples: Vec::new(),
-        }
-    }
-
-    /// Records a snapshot if at least one period elapsed since the last.
-    /// Returns `true` if a sample was taken.
-    pub fn maybe_sample<B: TieredBackend>(&mut self, sim: &Sim<B>) -> bool {
-        let now = sim.now();
-        if now < self.next_at {
-            return false;
-        }
-        self.next_at = now + self.period;
-        let r = sim.m.space.region(self.region);
+impl<B: TieredBackend> Take<B> for TierSnapshot {
+    fn take(region: RegionId, sim: &Sim<B>, rows: &mut Vec<TierSnapshot>) {
+        let r = sim.m.space.region(region);
         let (dram, mapped, ssd) = (r.dram_pages(), r.mapped_pages(), r.ssd_pages());
         let major = sim.m.trace.hist(LatencyClass::MajorFault);
-        self.samples.push(TierSnapshot {
-            at: now,
+        rows.push(TierSnapshot {
+            at: sim.now(),
             dram_pages: dram,
             nvm_pages: mapped - dram - ssd,
             ssd_pages: ssd,
@@ -343,40 +383,6 @@ impl TierTelemetry {
             swap_outs: sim.m.stats.swap_outs,
             swap_ins: sim.m.stats.swap_ins,
         });
-        true
-    }
-
-    /// All snapshots taken so far.
-    pub fn snapshots(&self) -> &[TierSnapshot] {
-        &self.samples
-    }
-
-    /// Renders snapshots as CSV (`time_s,dram_pages,nvm_pages,ssd_pages,
-    /// swapped_pages,major_faults,major_p50_ns,major_p99_ns,
-    /// major_p999_ns,swap_outs,swap_ins`).
-    pub fn csv(&self) -> String {
-        let mut out = String::from(
-            "time_s,dram_pages,nvm_pages,ssd_pages,swapped_pages,\
-             major_faults,major_p50_ns,major_p99_ns,major_p999_ns,\
-             swap_outs,swap_ins\n",
-        );
-        for s in &self.samples {
-            out.push_str(&format!(
-                "{:.3},{},{},{},{},{},{},{},{},{},{}\n",
-                s.at.as_secs_f64(),
-                s.dram_pages,
-                s.nvm_pages,
-                s.ssd_pages,
-                s.swapped_pages,
-                s.major_faults,
-                s.major_p50_ns,
-                s.major_p99_ns,
-                s.major_p999_ns,
-                s.swap_outs,
-                s.swap_ins
-            ));
-        }
-        out
     }
 }
 
@@ -386,7 +392,7 @@ pub struct TenantSnapshot {
     /// Virtual time of the sample.
     pub at: Ns,
     /// The tenant this row describes.
-    pub tenant: hemem_vmm::TenantId,
+    pub tenant: TenantId,
     /// DRAM-resident pages across the tenant's managed regions.
     pub dram_pages: u64,
     /// NVM-resident pages across the tenant's managed regions.
@@ -401,46 +407,43 @@ pub struct TenantSnapshot {
     pub pebs_samples: u64,
 }
 
-/// Per-tenant time-series sampler for multi-tenant runs: one row per
-/// tenant per period, long format. Deliberately a separate type from
-/// [`Telemetry`] so the single-process CSV schema stays byte-stable.
-#[derive(Debug, Clone)]
-pub struct TenantTelemetry {
-    period: Ns,
-    next_at: Ns,
-    samples: Vec<TenantSnapshot>,
+impl Row for TenantSnapshot {
+    type Scope = ();
+    const HEADER: &'static str =
+        "time_s,tenant,dram_pages,nvm_pages,quota_pages,dram_loads,nvm_loads,pebs_samples";
+
+    fn write(&self, out: &mut String) {
+        write_line(
+            out,
+            self.at,
+            &[
+                u64::from(self.tenant.0),
+                self.dram_pages,
+                self.nvm_pages,
+                self.quota_pages,
+                self.dram_loads,
+                self.nvm_loads,
+                self.pebs_samples,
+            ],
+        );
+    }
 }
 
-impl TenantTelemetry {
-    /// Creates a sampler with the given period.
-    pub fn new(period: Ns) -> TenantTelemetry {
-        assert!(period > Ns::ZERO, "period must be positive");
-        TenantTelemetry {
-            period,
-            next_at: Ns::ZERO,
-            samples: Vec::new(),
-        }
-    }
-
-    /// Records one row per tenant if at least one period elapsed since
-    /// the last sample. Returns `true` if rows were taken.
-    pub fn maybe_sample(&mut self, sim: &Sim<crate::hemem::HeMem>) -> bool {
-        let now = sim.now();
-        if now < self.next_at {
-            return false;
-        }
-        self.next_at = now + self.period;
+/// Tenant rows read HeMem's per-tenant trackers and arbiter, so only a
+/// HeMem run can take them.
+impl Take<HeMem> for TenantSnapshot {
+    fn take((): (), sim: &Sim<HeMem>, rows: &mut Vec<TenantSnapshot>) {
         let hemem = &sim.backend;
         for i in 0..hemem.tenant_count() {
-            let t = hemem_vmm::TenantId(i as u32);
+            let t = TenantId(i as u32);
             let tf = sim.m.space.tenant_frames(t);
             let quota = hemem
                 .arbiter()
                 .map(|a| a.quota_pages(t))
                 .unwrap_or_else(|| sim.m.dram_pool.total_pages());
             let (dram_loads, nvm_loads) = hemem.tenant_loads(t);
-            self.samples.push(TenantSnapshot {
-                at: now,
+            rows.push(TenantSnapshot {
+                at: sim.now(),
                 tenant: t,
                 dram_pages: tf.dram_pages,
                 nvm_pages: tf.nvm_pages,
@@ -450,34 +453,6 @@ impl TenantTelemetry {
                 pebs_samples: hemem.tenant_samples(t),
             });
         }
-        true
-    }
-
-    /// All rows taken so far.
-    pub fn snapshots(&self) -> &[TenantSnapshot] {
-        &self.samples
-    }
-
-    /// Renders rows as CSV (`time_s,tenant,dram_pages,nvm_pages,
-    /// quota_pages,dram_loads,nvm_loads,pebs_samples`).
-    pub fn csv(&self) -> String {
-        let mut out = String::from(
-            "time_s,tenant,dram_pages,nvm_pages,quota_pages,dram_loads,nvm_loads,pebs_samples\n",
-        );
-        for s in &self.samples {
-            out.push_str(&format!(
-                "{:.3},{},{},{},{},{},{},{}\n",
-                s.at.as_secs_f64(),
-                s.tenant.0,
-                s.dram_pages,
-                s.nvm_pages,
-                s.quota_pages,
-                s.dram_loads,
-                s.nvm_loads,
-                s.pebs_samples
-            ));
-        }
-        out
     }
 }
 
@@ -488,9 +463,9 @@ pub struct HealthSnapshot {
     /// Virtual time of the sample.
     pub at: Ns,
     /// The tier this row describes.
-    pub tier: hemem_vmm::Tier,
+    pub tier: Tier,
     /// Current health state (`Healthy`, `Degraded`, `Offline`).
-    pub health: crate::machine::TierHealth,
+    pub health: TierHealth,
     /// Bandwidth multiplier currently applied to the device (1.0 when
     /// healthy).
     pub throttle: f64,
@@ -506,48 +481,43 @@ pub struct HealthSnapshot {
     pub wear_bytes: u64,
 }
 
-/// Per-tier health time-series sampler for failure-domain runs: one row
-/// per tier per period, long format. Deliberately a separate type from
-/// [`Telemetry`] so the established CSV schemas stay byte-stable.
-#[derive(Debug, Clone)]
-pub struct HealthTelemetry {
-    period: Ns,
-    next_at: Ns,
-    samples: Vec<HealthSnapshot>,
+impl Row for HealthSnapshot {
+    type Scope = ();
+    const HEADER: &'static str = "time_s,tier,health,throttle,free_pages,allocated_pages,\
+         retired_pages,health_retired_pages,wear_bytes";
+
+    fn write(&self, out: &mut String) {
+        let _ = writeln!(
+            out,
+            "{:.3},{:?},{:?},{:.2},{},{},{},{},{}",
+            self.at.as_secs_f64(),
+            self.tier,
+            self.health,
+            self.throttle,
+            self.free_pages,
+            self.allocated_pages,
+            self.retired_pages,
+            self.health_retired_pages,
+            self.wear_bytes
+        );
+    }
 }
 
-impl HealthTelemetry {
-    /// Creates a sampler with the given period.
-    pub fn new(period: Ns) -> HealthTelemetry {
-        assert!(period > Ns::ZERO, "period must be positive");
-        HealthTelemetry {
-            period,
-            next_at: Ns::ZERO,
-            samples: Vec::new(),
-        }
-    }
-
-    /// Records one row per tier if at least one period elapsed since the
-    /// last sample. Returns `true` if rows were taken.
-    pub fn maybe_sample<B: TieredBackend>(&mut self, sim: &Sim<B>) -> bool {
-        let now = sim.now();
-        if now < self.next_at {
-            return false;
-        }
-        self.next_at = now + self.period;
+impl<B: TieredBackend> Take<B> for HealthSnapshot {
+    fn take((): (), sim: &Sim<B>, rows: &mut Vec<HealthSnapshot>) {
         for &tier in sim.m.tiers() {
             let p = sim.m.pool(tier);
             let throttle = match tier {
-                hemem_vmm::Tier::Ssd => sim.m.ssd.as_ref().map(|s| s.throttle()).unwrap_or(1.0),
+                Tier::Ssd => sim.m.ssd.as_ref().map(|s| s.throttle()).unwrap_or(1.0),
                 _ => sim.m.device(tier).throttle(),
             };
-            let wear = if tier == hemem_vmm::Tier::Nvm {
+            let wear = if tier == Tier::Nvm {
                 sim.m.nvm_wear_bytes()
             } else {
                 0
             };
-            self.samples.push(HealthSnapshot {
-                at: now,
+            rows.push(HealthSnapshot {
+                at: sim.now(),
                 tier,
                 health: sim.m.tier_health(tier),
                 throttle,
@@ -558,46 +528,14 @@ impl HealthTelemetry {
                 wear_bytes: wear,
             });
         }
-        true
-    }
-
-    /// All rows taken so far.
-    pub fn snapshots(&self) -> &[HealthSnapshot] {
-        &self.samples
-    }
-
-    /// Renders rows as CSV (`time_s,tier,health,throttle,free_pages,
-    /// allocated_pages,retired_pages,health_retired_pages,wear_bytes`).
-    pub fn csv(&self) -> String {
-        let mut out = String::from(
-            "time_s,tier,health,throttle,free_pages,allocated_pages,\
-             retired_pages,health_retired_pages,wear_bytes\n",
-        );
-        for s in &self.samples {
-            out.push_str(&format!(
-                "{:.3},{:?},{:?},{:.2},{},{},{},{},{}\n",
-                s.at.as_secs_f64(),
-                s.tier,
-                s.health,
-                s.throttle,
-                s.free_pages,
-                s.allocated_pages,
-                s.retired_pages,
-                s.health_retired_pages,
-                s.wear_bytes
-            ));
-        }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::AccessBatch;
     use crate::hemem::{HeMem, HeMemConfig};
     use crate::machine::MachineConfig;
-    use crate::runtime::Event;
 
     const GIB: u64 = 1 << 30;
 
@@ -622,29 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn rates_reflect_workload_progress() {
-        let (mut sim, id) = setup();
-        let mut t = Telemetry::new(id, Ns::millis(10));
-        t.maybe_sample(&sim);
-        let batch = AccessBatch::uniform(id, 0, 1024, 200_000, 8, 0.5, 2 * GIB);
-        for _ in 0..10 {
-            sim.submit_batch(0, &batch);
-            loop {
-                match sim.step() {
-                    Some((_, Event::ThreadReady(_))) | None => break,
-                    Some(_) => {}
-                }
-            }
-            t.maybe_sample(&sim);
-        }
-        let rates = t.rates();
-        assert!(!rates.is_empty());
-        assert!(rates.iter().any(|r| r.ops_per_sec > 0.0));
-        let last = rates.last().expect("rates");
-        assert!(last.dram_fraction > 0.0 && last.dram_fraction <= 1.0);
-    }
-
-    #[test]
     fn csv_has_header_and_rows() {
         let (mut sim, id) = setup();
         let mut t = Telemetry::new(id, Ns::millis(50));
@@ -653,8 +568,17 @@ mod tests {
         t.maybe_sample(&sim);
         let csv = t.csv();
         let lines: Vec<&str> = csv.lines().collect();
-        assert!(lines[0].starts_with("time_s,dram_pages"));
-        assert!(lines[0].ends_with("wp_max_ns,pebs_sample_period,pebs_drop_frac_milli"));
+        assert_eq!(
+            lines[0],
+            "time_s,dram_pages,mapped_pages,swapped_pages,migrations,nvm_wear,ops,wp_stalls,\
+             faults_injected,dma_fallbacks,migrations_failed,pages_retired,\
+             manager_kills,journal_replays,journal_rollbacks,swap_rollbacks,\
+             watchdog_restarts,audit_violations,\
+             mig_p50_ns,mig_p99_ns,mig_p999_ns,mig_max_ns,\
+             fault_p50_ns,fault_p99_ns,fault_p999_ns,fault_max_ns,\
+             wp_p50_ns,wp_p99_ns,wp_p999_ns,wp_max_ns,\
+             pebs_sample_period,pebs_drop_frac_milli"
+        );
         assert_eq!(lines.len(), 3);
         let cols = lines[0].split(',').count();
         for row in &lines[1..] {
@@ -745,8 +669,11 @@ mod tests {
         assert_eq!(s.swapped_pages, 0, "tier-3 pages stay mapped");
         let csv = t.csv();
         let lines: Vec<&str> = csv.lines().collect();
-        assert!(lines[0].starts_with("time_s,dram_pages,nvm_pages,ssd_pages"));
-        assert!(lines[0].ends_with("swap_outs,swap_ins"));
+        assert_eq!(
+            lines[0],
+            "time_s,dram_pages,nvm_pages,ssd_pages,swapped_pages,\
+             major_faults,major_p50_ns,major_p99_ns,major_p999_ns,swap_outs,swap_ins"
+        );
         assert_eq!(lines.len(), 2);
         assert_eq!(
             lines[1].split(',').count(),

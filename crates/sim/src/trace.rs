@@ -282,11 +282,6 @@ impl Tracer {
         }
     }
 
-    /// Spans currently open (in-flight operations).
-    pub fn open_spans(&self) -> usize {
-        self.open.len()
-    }
-
     /// Checks the captured event stream: every span end has a begin,
     /// nothing is left open (unless `allow_open`), and the event list
     /// sorts into a valid nondecreasing-timestamp order (always true by

@@ -784,11 +784,6 @@ impl AddressSpace {
         self.regions.iter().flatten()
     }
 
-    /// Iterates live regions mutably.
-    pub fn regions_mut(&mut self) -> impl Iterator<Item = &mut Region> {
-        self.regions.iter_mut().flatten()
-    }
-
     /// Finds the region containing `addr`.
     pub fn find(&self, addr: VirtAddr) -> Option<&Region> {
         self.regions().find(|r| r.range().contains(addr))

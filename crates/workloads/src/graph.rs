@@ -107,14 +107,6 @@ impl BcResult {
     pub fn total_runtime(&self) -> Ns {
         Ns(self.iterations.iter().map(|i| i.runtime.as_nanos()).sum())
     }
-
-    /// Mean iteration runtime.
-    pub fn mean_runtime(&self) -> Ns {
-        if self.iterations.is_empty() {
-            return Ns::ZERO;
-        }
-        Ns(self.total_runtime().as_nanos() / self.iterations.len() as u64)
-    }
 }
 
 /// The BC driver.

@@ -121,11 +121,6 @@ impl Kvs {
         self.log
     }
 
-    /// The hash-table region.
-    pub fn table_region(&self) -> RegionId {
-        self.table
-    }
-
     /// The configuration in effect.
     pub fn config(&self) -> &KvsConfig {
         &self.cfg

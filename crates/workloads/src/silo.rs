@@ -105,11 +105,6 @@ impl Silo {
         }
     }
 
-    /// The table/index region.
-    pub fn data_region(&self) -> RegionId {
-        self.data
-    }
-
     /// The redo-log region.
     pub fn log_region(&self) -> RegionId {
         self.log

@@ -65,9 +65,11 @@ cargo build --release -p hemem-bench --bin colobench
 ./target/release/colobench --scale 96 --seconds 3
 
 # tierbench asserts internally that (a) the 2-tier machine is
-# byte-identical to the committed pre-SSD baseline, (b) the managed
-# 3-tier policy beats spill-at-allocation under 1.5x oversubscription,
-# and (c) 3-tier runs (plain and with seeded SSD faults) replay
+# byte-identical to the committed pre-SSD baseline (fingerprint and
+# telemetry CSV) with adaptive PEBS, regions and NVM shadows at their
+# off defaults and no fleet fingerprint segment, (b) the managed 3-tier
+# policy beats spill-at-allocation under 1.5x oversubscription, and
+# (c) 3-tier runs (plain and with seeded SSD faults) replay
 # byte-identically.
 echo "== tier-3 smoke"
 cargo build --release -p hemem-bench --bin tierbench
@@ -96,10 +98,9 @@ cargo build --release -p hemem-bench --bin failbench
 
 # nomadbench asserts internally that (a) non-exclusive tiering turns a
 # demotion-heavy oversubscribed churn into zero-copy remaps (>= 30% of
-# journaled migration bytes saved, major-fault p99 no worse), (b) the
-# shadows-off config is byte-identical to the committed tierbench
-# baselines, and (c) shadowed runs with seeded manager/tenant kills
-# replay byte-identically with a silent audit.
+# journaled migration bytes saved, major-fault p99 no worse), and (b)
+# shadowed runs with seeded manager/tenant kills replay
+# byte-identically with a silent audit.
 echo "== non-exclusive tiering smoke"
 cargo build --release -p hemem-bench --bin nomadbench
 ./target/release/nomadbench
@@ -108,8 +109,7 @@ cargo build --release -p hemem-bench --bin nomadbench
 # pass is sublinear across a 2-16 GiB footprint sweep while the flat
 # per-page comparator grows ~linearly, (b) the adaptive PEBS controller
 # holds the sample-drop fraction where the same fixed period blows the
-# budget, (c) the regions-off config is byte-identical to the committed
-# tierbench baselines, and (d) killed multi-grain+adaptive runs replay
+# budget, and (c) killed multi-grain+adaptive runs replay
 # byte-identically with a silent audit.
 echo "== footprint-scaling smoke"
 cargo build --release -p hemem-bench --bin scalebench
@@ -120,11 +120,18 @@ cargo build --release -p hemem-bench --bin scalebench
 # spawns and most admissions landing on recycled slots, (b) a
 # recycled-slot run is byte-identical (fingerprint + stream + telemetry
 # CSV) to the same schedule on fresh slots, and (c) seeded mid-run slot
-# kills replay byte-identically with a silent audit while the committed
-# solo tierbench baseline stays untouched.
+# kills replay byte-identically with a silent audit.
 echo "== fleet churn smoke"
 cargo build --release -p hemem-bench --bin fleetbench
 ./target/release/fleetbench
+
+# Telemetry identity: the smokes above rewrote one committed CSV per
+# telemetry row schema (two-tier Snapshot, TierSnapshot, TenantSnapshot,
+# HealthSnapshot), each at the args it was recorded with. Any byte of
+# drift fails.
+echo "== telemetry CSV identity"
+git diff --exit-code -- results/crashbench_telemetry.csv results/tierbench_telemetry.csv \
+  results/fleetbench_telemetry.csv results/failbench_health.csv
 
 # Slot-pool hygiene: every tenant spawn must flow through the pool
 # (claim + in-place reset), never construct a tracker ad hoc — the only
