@@ -1,8 +1,10 @@
 //! Microbenchmarks of the core data structures on HeMem's hot paths: the
 //! page FIFO queues (every PEBS sample may move a page), the Fenwick
 //! residency index (every batch queries it, every PEBS record selects a
-//! page through it), the access ledger, the HDR
-//! histogram, the sampled direct-mapped cache, and the PEBS buffer.
+//! page through it), the address space's region lookups (every sample
+//! and fault resolves its page, every policy pass sums tenant frames),
+//! the access ledger, the HDR histogram, the sampled direct-mapped
+//! cache, and the PEBS buffer.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -12,7 +14,9 @@ use hemem_pebs::{Pebs, PebsConfig, SampleRecord, SampleType};
 use hemem_sim::list::{FifoArena, FifoList};
 use hemem_sim::{Histogram, Rng, Zipf};
 use hemem_vmm::fenwick::FlagTree;
-use hemem_vmm::{AccessLedger, AddressSpace, PageSize, PhysPage, RegionKind, Tier};
+use hemem_vmm::{
+    AccessLedger, AddressSpace, PageSize, PhysPage, RegionKind, TenantId, Tier, VirtAddr,
+};
 
 fn bench_fifo(c: &mut Criterion) {
     c.bench_function("fifo/push_pop_cycle", |b| {
@@ -95,6 +99,48 @@ fn bench_fenwick(c: &mut Criterion) {
     });
 }
 
+/// fleet-churn's end state: 4,096 regions mapped one after another and
+/// all but the last 32 unmapped again, so nearly every slot of the
+/// space is dead.
+fn bench_space(c: &mut Criterion) {
+    const MAPPED: u32 = 4_096;
+    const LIVE: u32 = 32;
+    const PAGES: u64 = 64;
+    const QUERIES: u64 = 1_024;
+    let mut space = AddressSpace::new();
+    let mut addrs = Vec::new();
+    for i in 0..MAPPED {
+        let id = space.mmap_tagged(
+            PAGES * 4096,
+            PageSize::Base4K,
+            RegionKind::ManagedHeap,
+            TenantId(i % LIVE),
+        );
+        if i < MAPPED - LIVE {
+            space.munmap(id);
+        } else {
+            let base = space.region(id).range().base.0;
+            addrs.extend((0..PAGES).map(|p| base + p * 4096 + 8));
+        }
+    }
+    c.bench_function("space/page_at_4k_dead", |b| {
+        let mut rng = Rng::new(9);
+        b.iter(|| {
+            for _ in 0..QUERIES {
+                let a = addrs[rng.gen_range(addrs.len() as u64) as usize];
+                black_box(space.page_at(VirtAddr(a)));
+            }
+        });
+    });
+    c.bench_function("space/tenant_frames_4k_dead", |b| {
+        b.iter(|| {
+            for t in 0..LIVE {
+                black_box(space.tenant_frames(TenantId(t)));
+            }
+        });
+    });
+}
+
 fn bench_ledger(c: &mut Criterion) {
     c.bench_function("ledger/add_segments_clear", |b| {
         b.iter_batched(
@@ -171,6 +217,7 @@ criterion_group!(
     benches,
     bench_fifo,
     bench_fenwick,
+    bench_space,
     bench_ledger,
     bench_histogram,
     bench_dram_cache,

@@ -581,17 +581,36 @@ impl TieredBackend for HeMem {
     }
 
     fn on_samples(&mut self, m: &mut MachineCore, samples: &[SampleRecord], now: Ns) {
+        // PEBS drains come in runs of same-region samples, so each run
+        // resolves its region's tracker slots (and owning tenant) once.
         if self.pool.slots.len() == 1 {
             // Solo fast path: no demux, no budget split — byte-identical
             // to a single-process machine.
             let ts = &mut self.pool.slots[0];
+            let mut run = None;
             for s in samples {
-                if let Some(page) = m.space.page_at(VirtAddr(s.vaddr)) {
-                    if ts.tracker.tracks(page.region) {
-                        ts.tracker.record(page, s.kind.is_store(), now);
-                        ts.note_sample(s.kind);
-                        self.stats.samples_applied += 1;
+                let Some(page) = m.space.page_at(VirtAddr(s.vaddr)) else {
+                    continue;
+                };
+                let slots = match run {
+                    Some((r, slots)) if r == page.region => slots,
+                    _ => {
+                        let slots = ts.tracker.region_slots(page.region);
+                        run = Some((page.region, slots));
+                        slots
                     }
+                };
+                if let Some((base, pages)) = slots {
+                    if page.index < pages {
+                        ts.tracker.record_slot(
+                            base + page.index as u32,
+                            page,
+                            s.kind.is_store(),
+                            now,
+                        );
+                    }
+                    ts.note_sample(s.kind);
+                    self.stats.samples_applied += 1;
                 }
             }
             return;
@@ -605,21 +624,32 @@ impl TieredBackend for HeMem {
             .unwrap_or_else(|| TenantDemux::new(self.pool.slots.len(), per_tenant));
         demux.set_per_pass_budget(per_tenant);
         demux.begin_pass();
+        let mut run = None;
         for s in samples {
-            if let Some(page) = m.space.page_at(VirtAddr(s.vaddr)) {
-                let idx = self.tenant_index(m, page.region);
-                let ts = &mut self.pool.slots[idx];
-                // Quarantined tenants consume no stream budget: a dying
-                // tenant mid-PEBS-storm cannot crowd out the survivors'
-                // classifiers.
-                if ts.lifecycle == Lifecycle::Live
-                    && ts.tracker.tracks(page.region)
-                    && demux.admit(idx)
-                {
-                    ts.tracker.record(page, s.kind.is_store(), now);
-                    ts.note_sample(s.kind);
-                    self.stats.samples_applied += 1;
+            let Some(page) = m.space.page_at(VirtAddr(s.vaddr)) else {
+                continue;
+            };
+            let (idx, slots) = match run {
+                Some((r, idx, slots)) if r == page.region => (idx, slots),
+                _ => {
+                    let idx = self.tenant_index(m, page.region);
+                    let slots = self.pool.slots[idx].tracker.region_slots(page.region);
+                    run = Some((page.region, idx, slots));
+                    (idx, slots)
                 }
+            };
+            let Some((base, pages)) = slots else { continue };
+            let ts = &mut self.pool.slots[idx];
+            // Quarantined tenants consume no stream budget: a dying
+            // tenant mid-PEBS-storm cannot crowd out the survivors'
+            // classifiers.
+            if ts.lifecycle == Lifecycle::Live && demux.admit(idx) {
+                if page.index < pages {
+                    ts.tracker
+                        .record_slot(base + page.index as u32, page, s.kind.is_store(), now);
+                }
+                ts.note_sample(s.kind);
+                self.stats.samples_applied += 1;
             }
         }
         self.demux = Some(demux);
@@ -1559,6 +1589,44 @@ mod lifecycle_tests {
             burned < 800,
             "breaker bounded the retry burn: {burned} frames retired"
         );
+    }
+
+    /// A sample of a tracked region counts as applied even when its page
+    /// lies past the tracker's pages (only in-range pages are recorded),
+    /// on both the solo and the multi-tenant ingest path.
+    #[test]
+    fn samples_past_the_tracked_pages_apply_without_recording() {
+        use hemem_pebs::SampleType;
+        for tenants in [1, 2] {
+            let mc = MachineConfig::small(1, 8);
+            let hc = HeMemConfig::scaled_for(&mc);
+            let h = if tenants == 1 {
+                HeMem::new(hc)
+            } else {
+                HeMem::multi_tenant(hc, tenants, ArbiterPolicy::GreedyMissRatio)
+            };
+            let mut s = Sim::new(mc, h);
+            let id = s.mmap(GIB);
+            let r = s.m.space.region(id);
+            let (base, page) = (r.range().base.0, r.page_size().bytes());
+            let tracker = &mut s.backend.pool.slots[0].tracker;
+            tracker.remove_region(id);
+            tracker.add_region(id, 4);
+            let samples: Vec<SampleRecord> = [1, 6, 6, 3, 9]
+                .map(|i| SampleRecord {
+                    vaddr: base + i * page,
+                    kind: SampleType::DramLoad,
+                })
+                .into_iter()
+                .chain([SampleRecord {
+                    vaddr: 0,
+                    kind: SampleType::Store,
+                }])
+                .collect();
+            s.backend.on_samples(&mut s.m, &samples, Ns::secs(1));
+            assert_eq!(s.backend.stats().samples_applied, 5, "{tenants} tenants");
+            assert_eq!(s.backend.tracker().stats().records, 2, "{tenants} tenants");
+        }
     }
 }
 

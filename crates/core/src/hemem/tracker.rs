@@ -11,8 +11,6 @@
 //! lazily cooled (counters halved) the next time it is touched, avoiding
 //! a full traversal of the queues.
 
-use std::collections::HashMap;
-
 use hemem_sim::list::{FifoArena, FifoList, Slot};
 use hemem_sim::Ns;
 use hemem_vmm::{AddressSpace, PageId, PageState, RegionId, Tier};
@@ -132,7 +130,10 @@ pub struct PageTracker {
     queues: [FifoList; 4],
     meta: Vec<PageMeta>,
     slot_page: Vec<PageId>,
-    regions: HashMap<RegionId, (u32, u64)>, // base slot, page count
+    /// Tracked regions as `(id, base slot, page count)`, ascending by id.
+    /// A tenant tracks one or two regions, so a binary search over this
+    /// short table beats hashing the id.
+    regions: Vec<(RegionId, u32, u64)>,
     region_view: Option<RegionTracker>,
     /// Per-period selection cursors (promotion; demotion cold pass,
     /// demotion any-DRAM pass): a span scanned dry this period is not
@@ -165,7 +166,7 @@ impl PageTracker {
             ],
             meta: Vec::new(),
             slot_page: Vec::new(),
-            regions: HashMap::new(),
+            regions: Vec::new(),
             promo_cursor: None,
             demo_cursors: [None, None],
             cool_clock: 0,
@@ -240,7 +241,7 @@ impl PageTracker {
 
     /// Pages currently tracked across all registered regions.
     pub fn tracked_pages(&self) -> u64 {
-        self.regions.values().map(|&(_, pages)| pages).sum()
+        self.regions.iter().map(|&(_, _, pages)| pages).sum()
     }
 
     /// Metadata slots the tracker's containers currently span,
@@ -263,7 +264,10 @@ impl PageTracker {
     /// Registers a managed region of `pages` pages.
     pub fn add_region(&mut self, region: RegionId, pages: u64) {
         let base = self.meta.len() as u32;
-        self.regions.insert(region, (base, pages));
+        match self.position(region) {
+            Ok(at) => self.regions[at] = (region, base, pages),
+            Err(at) => self.regions.insert(at, (region, base, pages)),
+        }
         self.meta
             .extend(std::iter::repeat_n(PageMeta::default(), pages as usize));
         self.slot_page
@@ -274,14 +278,20 @@ impl PageTracker {
         }
     }
 
+    /// Position of `region` in the region table (`Err`: where it would go).
+    fn position(&self, region: RegionId) -> Result<usize, usize> {
+        self.regions.binary_search_by_key(&region, |&(r, _, _)| r)
+    }
+
     /// Whether `region` is tracked.
     pub fn tracks(&self, region: RegionId) -> bool {
-        self.regions.contains_key(&region)
+        self.position(region).is_ok()
     }
 
     /// Forgets a region's pages (unlinking them from any queue).
     pub fn remove_region(&mut self, region: RegionId) {
-        if let Some((base, pages)) = self.regions.remove(&region) {
+        if let Ok(at) = self.position(region) {
+            let (_, base, pages) = self.regions.remove(at);
             for slot in base..base + pages as u32 {
                 self.unlink(slot);
                 self.meta[slot as usize] = PageMeta::default();
@@ -294,14 +304,16 @@ impl PageTracker {
 
     /// Slot for a page, if its region is tracked.
     pub fn slot(&self, page: PageId) -> Option<Slot> {
-        let &(base, pages) = self.regions.get(&page.region)?;
+        let (base, pages) = self.region_slots(page.region)?;
         (page.index < pages).then(|| base + page.index as u32)
     }
 
     /// Base slot and tracked page count of a region, if it is tracked:
     /// page `i < pages` of the region lives at slot `base + i`.
     pub fn region_slots(&self, region: RegionId) -> Option<(Slot, u64)> {
-        self.regions.get(&region).copied()
+        let at = self.position(region).ok()?;
+        let (_, base, pages) = self.regions[at];
+        Some((base, pages))
     }
 
     /// Page for a slot.
@@ -414,13 +426,28 @@ impl PageTracker {
     /// Records one sampled access (from PEBS or a page-table scan) at
     /// virtual time `now`.
     pub fn record(&mut self, page: PageId, is_write: bool, now: Ns) {
-        let Some(slot) = self.slot(page) else { return };
+        if let Some(slot) = self.slot(page) {
+            self.record_slot(slot, page, is_write, now);
+        }
+    }
+
+    /// [`PageTracker::record`] for `page`'s slot resolved through
+    /// [`PageTracker::region_slots`]: PEBS ingest looks a region up once
+    /// per run of same-region samples, not once per sample.
+    pub fn record_slot(&mut self, slot: Slot, page: PageId, is_write: bool, now: Ns) {
         self.stats.records += 1;
         if let Some(rv) = self.region_view.as_mut() {
             rv.note_sample(page.region, page.index, is_write);
         }
         self.maybe_cool(slot);
-        let cfg = self.cfg.clone();
+        let TrackerConfig {
+            hot_read_threshold: read_t,
+            hot_write_threshold: write_t,
+            cooling_threshold,
+            write_priority,
+            cooling_min_interval,
+            ..
+        } = self.cfg;
         let meta = &mut self.meta[slot as usize];
         if is_write {
             meta.writes = meta.writes.saturating_add(1);
@@ -428,15 +455,14 @@ impl PageTracker {
             meta.reads = meta.reads.saturating_add(1);
         }
         let total = meta.reads + meta.writes;
-        let newly_write_heavy =
-            is_write && !meta.write_heavy && meta.writes >= cfg.hot_write_threshold;
+        let newly_write_heavy = is_write && !meta.write_heavy && meta.writes >= write_t;
         if newly_write_heavy {
             meta.write_heavy = true;
         }
-        let hot = meta.reads >= cfg.hot_read_threshold || meta.writes >= cfg.hot_write_threshold;
+        let hot = meta.reads >= read_t || meta.writes >= write_t;
         let tier = meta.tier;
-        if total as u64 >= cfg.cooling_threshold as u64
-            && now.saturating_sub(self.last_advance) >= cfg.cooling_min_interval
+        if total as u64 >= cooling_threshold as u64
+            && now.saturating_sub(self.last_advance) >= cooling_min_interval
         {
             self.cool_clock += 1;
             self.last_advance = now;
@@ -454,10 +480,10 @@ impl PageTracker {
         let hot_q = Queue::of(tier, true);
         if hot && on != hot_q.index() as u8 && on != hemem_sim::list::NO_LIST {
             self.unlink(slot);
-            let front = cfg.write_priority && self.meta[slot as usize].write_heavy;
+            let front = write_priority && self.meta[slot as usize].write_heavy;
             self.push(slot, hot_q, front);
             self.stats.promotions += 1;
-        } else if newly_write_heavy && cfg.write_priority && on == hot_q.index() as u8 {
+        } else if newly_write_heavy && write_priority && on == hot_q.index() as u8 {
             // Already hot: jump to the front for priority migration.
             self.queues[hot_q.index()].move_to_front(&mut self.arena, slot);
         }
@@ -645,18 +671,6 @@ impl PageTracker {
         }
     }
 
-    /// Tracked regions in a deterministic (id) order, with their base slot
-    /// and page count.
-    fn regions_sorted(&self) -> Vec<(RegionId, u32, u64)> {
-        let mut v: Vec<(RegionId, u32, u64)> = self
-            .regions
-            .iter()
-            .map(|(&r, &(base, pages))| (r, base, pages))
-            .collect();
-        v.sort_unstable_by_key(|&(r, _, _)| r.0);
-        v
-    }
-
     /// Rebuilds every queue from the authoritative address space after a
     /// manager restart. Per-page counters (and the cooling clock) live in
     /// this tracker's metadata and survive the crash; what is lost is the
@@ -665,7 +679,8 @@ impl PageTracker {
     /// (write-heavy hot pages at the front, as on placement), and pages no
     /// longer resident are forgotten.
     pub fn rebuild_from(&mut self, space: &AddressSpace) {
-        for (rid, base, pages) in self.regions_sorted() {
+        for at in 0..self.regions.len() {
+            let (rid, base, pages) = self.regions[at];
             let region = space.region(rid);
             for i in 0..pages {
                 let slot = base + i as u32;
@@ -698,7 +713,7 @@ impl PageTracker {
         };
         self.promo_cursor = None;
         self.demo_cursors = [None, None];
-        for (rid, base, pages) in self.regions_sorted() {
+        for &(rid, base, pages) in &self.regions {
             rv.clear_pins(rid);
             for (head, s) in rv.spans(rid) {
                 let (mut dram, mut nvm) = (0u64, 0u64);
@@ -738,7 +753,7 @@ impl PageTracker {
         self.demo_cursors = [None, None];
         rv.decay();
         for (rid, head, len) in rv.split_candidates() {
-            let Some(&(base, _)) = self.regions.get(&rid) else {
+            let Some((base, _)) = self.region_slots(rid) else {
                 continue;
             };
             let half = len / 2;
@@ -773,7 +788,7 @@ impl PageTracker {
         let mut cursor = self.promo_cursor;
         let mut found = None;
         while let Some((rid, head, len)) = rv.first_promo_span_after(cursor) {
-            let Some(&(base, _)) = self.regions.get(&rid) else {
+            let Some((base, _)) = self.region_slots(rid) else {
                 break;
             };
             let mut touched = 0u64;
@@ -829,7 +844,7 @@ impl PageTracker {
                     rv.first_dram_span_after(cursor)
                 };
                 let Some((rid, head, len)) = next else { break };
-                let Some(&(base, _)) = self.regions.get(&rid) else {
+                let Some((base, _)) = self.region_slots(rid) else {
                     break;
                 };
                 let mut touched = 0u64;
@@ -881,7 +896,7 @@ impl PageTracker {
         let Some(rv) = self.region_view.as_ref() else {
             return out;
         };
-        for (rid, base, pages) in self.regions_sorted() {
+        for &(rid, base, pages) in &self.regions {
             let spans = rv.spans(rid);
             // 1. Exact, aligned, power-of-two coverage.
             let mut at = 0u64;
@@ -951,7 +966,7 @@ impl PageTracker {
         space: &AddressSpace,
     ) -> Vec<(PageId, Option<Tier>, Option<Tier>)> {
         let mut out = Vec::new();
-        for (rid, base, pages) in self.regions_sorted() {
+        for &(rid, base, pages) in &self.regions {
             let region = space.region(rid);
             for i in 0..pages {
                 let tracked = self.meta[(base + i as u32) as usize].tier;

@@ -681,9 +681,14 @@ impl TenantFrames {
 }
 
 /// A process's virtual address space: a set of non-overlapping regions.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct AddressSpace {
     regions: Vec<Option<Region>>,
+    /// Live regions as `(start, end, id)`, ascending by id. Ids are
+    /// handed out with ever-growing base addresses, so this order is
+    /// also address order and `find` can binary-search it without
+    /// touching a `Region` or the `None` slots munmap leaves behind.
+    live: Vec<(u64, u64, RegionId)>,
     next_base: u64,
     /// Slot generation per tenant; bumped on every (re)admission so
     /// regions can prove which occupancy of a recycled slot mapped them.
@@ -693,11 +698,18 @@ pub struct AddressSpace {
 /// Gap left between consecutively allocated regions.
 const GUARD: u64 = 1 << 30;
 
+impl Default for AddressSpace {
+    fn default() -> Self {
+        AddressSpace::new()
+    }
+}
+
 impl AddressSpace {
     /// Creates an empty address space.
     pub fn new() -> AddressSpace {
         AddressSpace {
             regions: Vec::new(),
+            live: Vec::new(),
             next_base: 1 << 40,
             tenant_generations: BTreeMap::new(),
         }
@@ -727,6 +739,7 @@ impl AddressSpace {
         self.next_base = range.end() + GUARD;
         self.next_base = self.next_base.next_multiple_of(PageSize::Giga1G.bytes());
         let generation = self.tenant_generation(tenant);
+        self.live.push((range.base.0, range.end(), id));
         self.regions.push(Some(Region::new(
             id, range, page_size, kind, tenant, generation,
         )));
@@ -759,10 +772,17 @@ impl AddressSpace {
 
     /// Fallible form of [`AddressSpace::munmap`].
     pub fn try_munmap(&mut self, id: RegionId) -> Result<Region, StateError> {
-        self.regions
+        let region = self
+            .regions
             .get_mut(id.0 as usize)
             .and_then(Option::take)
-            .ok_or(StateError::MissingRegion(id))
+            .ok_or(StateError::MissingRegion(id))?;
+        let at = self
+            .live
+            .binary_search_by_key(&id, |&(_, _, r)| r)
+            .expect("live region missing from the index");
+        self.live.remove(at);
+        Ok(region)
     }
 
     /// Borrows a live region.
@@ -779,14 +799,29 @@ impl AddressSpace {
             .expect("region was unmapped")
     }
 
-    /// Iterates live regions.
+    /// Iterates live regions in ascending id (and address) order.
     pub fn regions(&self) -> impl Iterator<Item = &Region> {
-        self.regions.iter().flatten()
+        self.live.iter().map(|&(_, _, id)| self.region(id))
     }
 
     /// Finds the region containing `addr`.
     pub fn find(&self, addr: VirtAddr) -> Option<&Region> {
-        self.regions().find(|r| r.range().contains(addr))
+        let at = self.live.partition_point(|&(_, end, _)| end <= addr.0);
+        let found = self
+            .live
+            .get(at)
+            .filter(|&&(start, _, _)| start <= addr.0)
+            .map(|&(_, _, id)| self.region(id));
+        debug_assert_eq!(
+            found.map(Region::id),
+            self.regions
+                .iter()
+                .flatten()
+                .find(|r| r.range().contains(addr))
+                .map(Region::id),
+            "live-region index disagrees with a linear scan at {addr:?}"
+        );
+        found
     }
 
     /// The page containing `addr`, if it belongs to a region.
@@ -849,12 +884,19 @@ impl AddressSpace {
     /// Rebuilds an address space from a snapshot, reconstructing every
     /// region's residency indices from its page states.
     pub fn restore(snap: SpaceSnapshot) -> AddressSpace {
+        let regions: Vec<Option<Region>> = snap
+            .regions
+            .into_iter()
+            .map(|r| r.map(Region::restore))
+            .collect();
+        let live = regions
+            .iter()
+            .flatten()
+            .map(|r| (r.range().base.0, r.range().end(), r.id()))
+            .collect();
         AddressSpace {
-            regions: snap
-                .regions
-                .into_iter()
-                .map(|r| r.map(Region::restore))
-                .collect(),
+            regions,
+            live,
             next_base: snap.next_base,
             tenant_generations: snap.tenant_generations,
         }
@@ -1079,6 +1121,16 @@ mod tests {
         let r = s.munmap(id);
         assert_eq!(r.id(), id);
         assert_eq!(s.regions().count(), 0);
+    }
+
+    #[test]
+    fn default_maps_like_new() {
+        let mut a = AddressSpace::default();
+        let mut b = AddressSpace::new();
+        let ra = a.mmap(1 << 21, PageSize::Huge2M, RegionKind::ManagedHeap);
+        let rb = b.mmap(1 << 21, PageSize::Huge2M, RegionKind::ManagedHeap);
+        assert_eq!(a.region(ra).range(), b.region(rb).range());
+        assert_eq!(a.page_at(VirtAddr(0)), None);
     }
 
     #[test]
