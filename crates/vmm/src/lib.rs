@@ -20,7 +20,7 @@ pub mod tlb;
 
 pub use addr::{PageId, PageSize, RegionId, TenantId, Tier, VirtAddr, VirtRange};
 pub use fault::{Fault, FaultConfig, FaultKind, FaultStats, FaultThread};
-pub use fenwick::FlagTree;
+pub use fenwick::{FlagTree, RankTable};
 pub use ledger::{touched_probability, AccessLedger};
 pub use pool::{PhysPage, PhysPool};
 pub use ptscan::ScanConfig;

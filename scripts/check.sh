@@ -36,6 +36,19 @@ cargo test -q --workspace
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Reproduction identity: the 24 paper-reproduction binaries (tables,
+# figures, ablations) rerun at their default args and must rewrite
+# their committed results byte for byte. Every hot-path change has to
+# leave the simulated outputs unchanged; this is where that is checked.
+echo "== reproduction identity"
+repro="table1 table2 table3 table4 fig1 fig2 fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11
+  fig12 fig13 fig14 fig15 fig16 ablate_cooling ablate_smallalloc ablate_swap
+  ablate_watermark ablate_writeprio"
+for bin in $repro; do
+  ./target/release/"$bin" >/dev/null
+done
+git diff --exit-code -- 'results/table*' 'results/fig*' 'results/ablate_*'
+
 echo "== chaos smoke"
 cargo build --release -p hemem-bench --bin chaosbench
 ./target/release/chaosbench --scale 96 --seconds 4
