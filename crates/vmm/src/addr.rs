@@ -22,6 +22,11 @@ impl Tier {
     /// DRAM/NVM pair instead of iterating it.
     pub const ALL: [Tier; 3] = [Tier::Dram, Tier::Nvm, Tier::Ssd];
 
+    /// The tiers the CPU loads and stores reach directly (the ones PEBS
+    /// samples): the prefix of [`Tier::ALL`] before SSD, so a tier's
+    /// [`Tier::rank`] indexes arrays of this length.
+    pub const BYTE_ADDRESSABLE: [Tier; 2] = [Tier::Dram, Tier::Nvm];
+
     /// Position in the canonical order: 0 = fastest.
     pub const fn rank(self) -> usize {
         match self {
